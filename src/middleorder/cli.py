@@ -184,13 +184,10 @@ def _evaluate(tokens: list[str]) -> str:
 )
 @click.option("--n-max", "n_max", type=int, default=None,
               help="Run each check only up to this size.")
-@click.option("--limit", type=int, default=None,
-              help="Override --n-max for deep local runs.")
 @click.pass_context
-def cmd_verify(ctx: click.Context, suite: str, n_max: int | None, limit: int | None) -> None:
+def cmd_verify(ctx: click.Context, suite: str, n_max: int | None) -> None:
     """Run a verification suite; exit 1 if any check fails."""
-    effective = limit if limit is not None else n_max
-    results = verify.run_suite(suite, effective)
+    results = verify.run_suite(suite, n_max)
     failures = 0
     for result in results:
         status = "pass" if result.ok else "FAIL"

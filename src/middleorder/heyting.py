@@ -12,24 +12,17 @@ from __future__ import annotations
 from .orders import middle_leq
 from .permutations import (
     Perm,
-    avoids_classical,
     from_inversion_sequence,
+    inversion_pair,
     inversion_sequence,
-    right_to_left_minima,
-    validate_permutation,
 )
 from .posets import FinitePoset
 
 
 def relative_pseudocomplement(v: Perm, w: Perm) -> Perm:
     """v ~> w, the maximum z with meet(v, z) <= w."""
-    v = validate_permutation(v)
-    w = validate_permutation(w)
-    if len(v) != len(w):
-        raise ValueError("size mismatch")
-    x = inversion_sequence(v)
-    y = inversion_sequence(w)
-    z = tuple(i - 1 if x[i - 1] <= y[i - 1] else y[i - 1] for i in range(1, len(v) + 1))
+    x, y = inversion_pair(v, w)
+    z = tuple(i - 1 if x[i - 1] <= y[i - 1] else y[i - 1] for i in range(1, len(x) + 1))
     return from_inversion_sequence(z)
 
 
@@ -39,32 +32,16 @@ def pseudocomplement(v: Perm) -> Perm:
     Equivalently, the right-to-left minima of v listed in decreasing
     order followed by the remaining values in increasing order.
     """
-    v = validate_permutation(v)
     x = inversion_sequence(v)
-    z = tuple(i - 1 if x[i - 1] == 0 else 0 for i in range(1, len(v) + 1))
+    z = tuple(i - 1 if x[i - 1] == 0 else 0 for i in range(1, len(x) + 1))
     return from_inversion_sequence(z)
 
 
-def pseudocomplement_by_listing(v: Perm) -> Perm:
-    """Independent construction of ~v from the one-line notation."""
-    v = validate_permutation(v)
-    minima = sorted(right_to_left_minima(v), reverse=True)
-    rest = sorted(set(v) - set(minima))
-    return tuple(minima + rest)
-
-
 def is_regular(v: Perm) -> bool:
-    """True iff v = ~~v; equivalently every coordinate is 0 or maximal,
-    equivalently v avoids both 132 and 231.  All three criteria are
-    evaluated and must agree."""
-    v = validate_permutation(v)
-    by_double = v == pseudocomplement(pseudocomplement(v))
+    """True iff v = ~~v, that is, every inversion-sequence coordinate is 0
+    or maximal (equivalently, v avoids both 132 and 231)."""
     x = inversion_sequence(v)
-    by_coords = all(x[i - 1] in (0, i - 1) for i in range(1, len(v) + 1))
-    by_avoidance = avoids_classical(v, (1, 3, 2)) and avoids_classical(v, (2, 3, 1))
-    if not by_double == by_coords == by_avoidance:
-        raise AssertionError(f"regularity criteria disagree on {v}")
-    return by_coords
+    return all(x[i - 1] in (0, i - 1) for i in range(1, len(x) + 1))
 
 
 def regular_elements(n: int) -> list[Perm]:

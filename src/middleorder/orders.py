@@ -2,31 +2,62 @@
 The three orders on S_n: middle, weak and Bruhat.
 
 The middle order compares inversion sequences coordinate-wise, which
-makes it a distributive lattice (a product of chains).  Weak and Bruhat
-comparability are computed as reflexive-transitive closures of their
-cover relations, cached per size.
+makes it a distributive lattice (a product of chains).  In all three
+orders an upper cover of v swaps the two entries of a rise 12 of v
+whose shaded region is empty; the orders differ only in the shaded
+cells (Brändén–Claesson mesh patterns).  Weak and Bruhat comparability
+are computed as reflexive-transitive closures of their cover relations,
+cached per size.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from typing import Iterator, Optional
 
 from .permutations import (
+    MeshPattern,
     Perm,
     all_permutations,
     from_inversion_sequence,
+    inversion_pair,
     inversion_sequence,
-    validate_permutation,
+    shading_is_empty,
+    validate_pair,
 )
 from .posets import FinitePoset
 
+# ---------------------------------------------------------------------------
+# Covers as swaps of a shaded rise
 
-def _check_sizes(v: Perm, w: Perm) -> tuple[Perm, Perm]:
-    v = validate_permutation(v)
-    w = validate_permutation(w)
-    if len(v) != len(w):
-        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
-    return v, w
+# The column between the rise's positions is shaded below its top value
+# (middle), entirely (weak: the positions are adjacent) or between its
+# two values only (Bruhat: the swap adds exactly one inversion).
+MIDDLE_RISE = MeshPattern((1, 2), {(1, 0), (1, 1)})
+WEAK_RISE = MeshPattern((1, 2), {(1, 0), (1, 1), (1, 2)})
+BRUHAT_RISE = MeshPattern((1, 2), {(1, 1)})
+
+
+def _rise_swaps(v: Perm, rise: MeshPattern) -> Iterator[Perm]:
+    """v with the two entries of each occurrence of the shaded rise swapped."""
+    n = len(v)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if v[a] < v[b] and shading_is_empty(v, (a + 1, b + 1), rise):
+                word = list(v)
+                word[a], word[b] = word[b], word[a]
+                yield tuple(word)
+
+
+def _swapped_rise(v: Perm, w: Perm) -> Optional[tuple[int, int]]:
+    """Positions a < b (0-based) such that w is v with the rise v[a] < v[b]
+    swapped, or None."""
+    diff = [p for p in range(len(v)) if v[p] != w[p]]
+    if len(diff) != 2:
+        return None
+    a, b = diff
+    if v[a] < v[b] and w[a] == v[b] and w[b] == v[a]:
+        return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -34,29 +65,25 @@ def _check_sizes(v: Perm, w: Perm) -> tuple[Perm, Perm]:
 
 
 def middle_leq(v: Perm, w: Perm) -> bool:
-    v, w = _check_sizes(v, w)
-    return all(a <= b for a, b in zip(inversion_sequence(v), inversion_sequence(w)))
+    x, y = inversion_pair(v, w)
+    return all(a <= b for a, b in zip(x, y))
 
 
 def middle_covers(v: Perm, w: Perm) -> bool:
     """True iff the inversion sequences differ by +1 in exactly one coordinate."""
-    v, w = _check_sizes(v, w)
-    diffs = [b - a for a, b in zip(inversion_sequence(v), inversion_sequence(w))]
-    return diffs.count(0) == len(v) - 1 and diffs.count(1) == 1
+    x, y = inversion_pair(v, w)
+    diffs = [b - a for a, b in zip(x, y)]
+    return diffs.count(0) == len(x) - 1 and diffs.count(1) == 1
 
 
 def meet(v: Perm, w: Perm) -> Perm:
-    v, w = _check_sizes(v, w)
-    return from_inversion_sequence(
-        tuple(min(a, b) for a, b in zip(inversion_sequence(v), inversion_sequence(w)))
-    )
+    x, y = inversion_pair(v, w)
+    return from_inversion_sequence(tuple(min(a, b) for a, b in zip(x, y)))
 
 
 def join(v: Perm, w: Perm) -> Perm:
-    v, w = _check_sizes(v, w)
-    return from_inversion_sequence(
-        tuple(max(a, b) for a, b in zip(inversion_sequence(v), inversion_sequence(w)))
-    )
+    x, y = inversion_pair(v, w)
+    return from_inversion_sequence(tuple(max(a, b) for a, b in zip(x, y)))
 
 
 def rank(w: Perm) -> int:
@@ -99,8 +126,8 @@ def mobius_middle(v: Perm, w: Perm) -> int:
     Zero unless [v, w] is a boolean interval (all coordinate differences
     0 or 1), in which case it is (-1)^(rank difference).
     """
-    v, w = _check_sizes(v, w)
-    diffs = [b - a for a, b in zip(inversion_sequence(v), inversion_sequence(w))]
+    x, y = inversion_pair(v, w)
+    diffs = [b - a for a, b in zip(x, y)]
     if any(d < 0 for d in diffs):
         return 0
     if any(d > 1 for d in diffs):
@@ -111,31 +138,19 @@ def mobius_middle(v: Perm, w: Perm) -> int:
 def cover_mesh_witness(v: Perm, w: Perm) -> Optional[tuple[int, int]]:
     """The value pair (j, i) swapped between v and w when v is covered by w.
 
-    The pair is an occurrence in v of the rise pattern with the cell
+    The pair is an occurrence in v of the rise pattern with the cells
     below-and-between shaded: j before i, j < i, and no value smaller
-    than i strictly between their positions.  Found by direct search
-    over value pairs, independently of inversion sequences; returns None
-    when no such swap produces w.
+    than i strictly between their positions.  Returns None when w is not
+    v with such a pair swapped.
     """
-    v, w = _check_sizes(v, w)
-    n = len(v)
-    witnesses = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            j, i = v[a], v[b]
-            if j >= i:
-                continue
-            if any(v[c] < i for c in range(a + 1, b)):
-                continue
-            swapped = list(v)
-            swapped[a], swapped[b] = i, j
-            if tuple(swapped) == w:
-                witnesses.append((j, i))
-    if not witnesses:
+    v, w = validate_pair(v, w)
+    pair = _swapped_rise(v, w)
+    if pair is None:
         return None
-    if len(witnesses) > 1:
-        raise AssertionError(f"non-unique mesh witness for {v} -> {w}: {witnesses}")
-    return witnesses[0]
+    a, b = pair
+    if not shading_is_empty(v, (a + 1, b + 1), MIDDLE_RISE):
+        return None
+    return v[a], v[b]
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +159,16 @@ def cover_mesh_witness(v: Perm, w: Perm) -> Optional[tuple[int, int]]:
 
 def weak_covers(v: Perm, w: Perm) -> bool:
     """True iff w is v with two adjacent positions holding an ascent swapped."""
-    v, w = _check_sizes(v, w)
-    diff = [p for p in range(len(v)) if v[p] != w[p]]
-    if len(diff) != 2:
-        return False
-    a, b = diff
-    return b == a + 1 and v[a] < v[b] and w[a] == v[b] and w[b] == v[a]
+    v, w = validate_pair(v, w)
+    pair = _swapped_rise(v, w)
+    return pair is not None and pair[1] == pair[0] + 1
 
 
 def bruhat_covers(v: Perm, w: Perm) -> bool:
     """True iff w is v with one noninversion turned into an inversion and
     the inversion count goes up by exactly one."""
-    v, w = _check_sizes(v, w)
-    diff = [p for p in range(len(v)) if v[p] != w[p]]
-    if len(diff) != 2:
-        return False
-    a, b = diff
-    if not (v[a] == w[b] and v[b] == w[a] and v[a] < v[b]):
-        return False
-    return rank(w) == rank(v) + 1
+    v, w = validate_pair(v, w)
+    return _swapped_rise(v, w) is not None and rank(w) == rank(v) + 1
 
 
 @lru_cache(maxsize=None)
@@ -170,11 +176,11 @@ def _closure(n: int, kind: str) -> tuple[dict[Perm, int], list[int]]:
     """Reachability masks over the cover relation of the given order."""
     perms = all_permutations(n)
     index = {p: i for i, p in enumerate(perms)}
-    covers_of = {
-        "middle": upper_covers,
-        "weak": _weak_upper_covers,
-        "bruhat": _bruhat_upper_covers,
-    }[kind]
+    if kind == "middle":
+        covers_of = upper_covers
+    else:
+        rise = WEAK_RISE if kind == "weak" else BRUHAT_RISE
+        covers_of = partial(_rise_swaps, rise=rise)
     succ: list[list[int]] = [[] for _ in perms]
     for p in perms:
         succ[index[p]] = [index[q] for q in covers_of(p)]
@@ -189,41 +195,14 @@ def _closure(n: int, kind: str) -> tuple[dict[Perm, int], list[int]]:
     return index, above
 
 
-def _weak_upper_covers(v: Perm) -> list[Perm]:
-    out = []
-    for p in range(len(v) - 1):
-        if v[p] < v[p + 1]:
-            word = list(v)
-            word[p], word[p + 1] = word[p + 1], word[p]
-            out.append(tuple(word))
-    return out
-
-
-def _bruhat_upper_covers(v: Perm) -> list[Perm]:
-    out = []
-    n = len(v)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if v[a] >= v[b]:
-                continue
-            # The swap adds exactly one inversion iff no intermediate
-            # value sits between the two positions.
-            if any(v[a] < v[c] < v[b] for c in range(a + 1, b)):
-                continue
-            word = list(v)
-            word[a], word[b] = word[b], word[a]
-            out.append(tuple(word))
-    return out
-
-
 def weak_leq(v: Perm, w: Perm) -> bool:
-    v, w = _check_sizes(v, w)
+    v, w = validate_pair(v, w)
     index, above = _closure(len(v), "weak")
     return bool(above[index[v]] >> index[w] & 1)
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
-    v, w = _check_sizes(v, w)
+    v, w = validate_pair(v, w)
     index, above = _closure(len(v), "bruhat")
     return bool(above[index[v]] >> index[w] & 1)
 
@@ -233,21 +212,15 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
 
 
 def middle_poset(n: int) -> FinitePoset:
-    perms = all_permutations(n)
-    index = {p: i for i, p in enumerate(perms)}
-    pairs = []
-    for p in perms:
-        for q in upper_covers(p):
-            pairs.append((index[p], index[q]))
-    return FinitePoset.from_covers(perms, pairs)
+    return _cover_poset(n, upper_covers)
 
 
 def weak_poset(n: int) -> FinitePoset:
-    return _cover_poset(n, _weak_upper_covers)
+    return _cover_poset(n, partial(_rise_swaps, rise=WEAK_RISE))
 
 
 def bruhat_poset(n: int) -> FinitePoset:
-    return _cover_poset(n, _bruhat_upper_covers)
+    return _cover_poset(n, partial(_rise_swaps, rise=BRUHAT_RISE))
 
 
 def _cover_poset(n, covers_of) -> FinitePoset:

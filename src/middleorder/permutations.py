@@ -18,21 +18,32 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-DEFAULT_EXHAUSTIVE_LIMIT = 8
-
 Perm = tuple[int, ...]
 InvSeq = tuple[int, ...]
 
 
 def validate_permutation(word: Sequence[int]) -> Perm:
-    """Return word as a tuple, checking it is a permutation of {1..n}, n >= 1."""
+    """Return word as a tuple, checking it is a permutation of {1..n}, n >= 1.
+
+    Entries must be of type int: bools and floats compare equal to ints
+    but break decoding and formatting, so they are rejected.
+    """
     w = tuple(word)
     n = len(w)
     if n == 0:
         raise ValueError("permutations of size 0 are not supported")
-    if sorted(w) != list(range(1, n + 1)):
+    if set(map(type, w)) != {int} or sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of {{1..{n}}}: {w!r}")
     return w
+
+
+def validate_pair(v: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
+    """Validate two permutations of the same size."""
+    v = validate_permutation(v)
+    w = validate_permutation(w)
+    if len(v) != len(w):
+        raise ValueError(f"size mismatch: {len(v)} vs {len(w)}")
+    return v, w
 
 
 def validate_inversion_sequence(coords: Sequence[int]) -> InvSeq:
@@ -76,6 +87,15 @@ def inversion_sequence(w: Perm) -> InvSeq:
     )
 
 
+def inversion_pair(v: Sequence[int], w: Sequence[int]) -> tuple[InvSeq, InvSeq]:
+    """Inversion sequences of two permutations of the same size, each
+    validated once."""
+    x, y = inversion_sequence(v), inversion_sequence(w)
+    if len(x) != len(y):
+        raise ValueError(f"size mismatch: {len(x)} vs {len(y)}")
+    return x, y
+
+
 def from_inversion_sequence(coords: Sequence[int]) -> Perm:
     """Inverse of inversion_sequence: decode a box vector to a permutation.
 
@@ -100,26 +120,6 @@ def all_inversion_sequences(n: int) -> Iterator[InvSeq]:
 def all_permutations(n: int) -> list[Perm]:
     """All of S_n, ordered lexicographically by inversion sequence."""
     return [from_inversion_sequence(x) for x in all_inversion_sequences(n)]
-
-
-def round_trip_all(n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> bool:
-    """Exhaustively check that encode/decode is a bijection S_n <-> box."""
-    if not 1 <= n <= limit:
-        raise ValueError(f"n must be in [1, {limit}]")
-    seen = set()
-    for x in all_inversion_sequences(n):
-        w = from_inversion_sequence(x)
-        if inversion_sequence(w) != x:
-            return False
-        seen.add(w)
-    return len(seen) == _factorial(n)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,17 @@ def count_classical(w: Perm, p: Perm) -> int:
 
 
 def mesh_contains(w: Perm, m: MeshPattern) -> int:
-    """Count occurrences of the mesh pattern m in w.
+    """Count occurrences of the mesh pattern m in w."""
+    w = validate_permutation(w)
+    return sum(
+        1 for positions in _classical_occurrences(w, m.pattern)
+        if shading_is_empty(w, positions, m)
+    )
+
+
+def shading_is_empty(w: Perm, positions: tuple[int, ...], m: MeshPattern) -> bool:
+    """True iff no point of w lies in a shaded region of the occurrence of
+    m's pattern at the given positions.
 
     An occurrence at positions p_1 < ... < p_k with chosen values sorted
     as q_1 < ... < q_k stretches cell (a, b) to the open region of points
@@ -186,23 +196,14 @@ def mesh_contains(w: Perm, m: MeshPattern) -> int:
     meaning before the first, a = k / b = k after the last).  The
     occurrence counts only if every stretched shaded region is point-free.
     """
-    w = validate_permutation(w)
-    n, k = len(w), len(m.pattern)
-    count = 0
-    for positions in _classical_occurrences(w, m.pattern):
-        qvals = sorted(w[q - 1] for q in positions)
-        pos_bounds = (0,) + positions + (n + 1,)
-        val_bounds = (0,) + tuple(qvals) + (n + 1,)
-        ok = True
-        for a, b in m.mesh:
-            lo_p, hi_p = pos_bounds[a], pos_bounds[a + 1]
-            lo_v, hi_v = val_bounds[b], val_bounds[b + 1]
-            if any(lo_v < w[q - 1] < hi_v for q in range(lo_p + 1, hi_p)):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    n = len(w)
+    pos_bounds = (0, *positions, n + 1)
+    val_bounds = (0, *sorted(w[q - 1] for q in positions), n + 1)
+    return not any(
+        val_bounds[b] < w[q - 1] < val_bounds[b + 1]
+        for a, b in m.mesh
+        for q in range(pos_bounds[a] + 1, pos_bounds[a + 1])
+    )
 
 
 # ---------------------------------------------------------------------------

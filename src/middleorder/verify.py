@@ -1,6 +1,11 @@
 """
 Named verification suites cross-checking every closed form in the
-package against brute force.
+package against brute force, and the independent oracles they use.
+
+The oracles re-derive a fact by a second route (the boolean-count
+recursion, the car-parking simulation, the listing construction of
+pseudocomplements, ...); the library never calls them, so a suite
+compares two implementations that share no code.
 
 Each suite returns a list of CheckResult records; a suite passes when
 every record does.  Failures carry a counterexample in the detail
@@ -11,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from . import counting, heyting, involutions, orders, parking, posets
 from .permutations import (
@@ -27,7 +34,6 @@ from .permutations import (
     is_involution,
     mesh_contains,
     right_to_left_minima,
-    round_trip_all,
 )
 
 TABLE1 = {
@@ -55,6 +61,70 @@ class CheckResult(NamedTuple):
 
 def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(ok), "" if ok else detail)
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def round_trip_all(n: int) -> bool:
+    """Exhaustively check that encode/decode is a bijection S_n <-> box."""
+    seen = set()
+    for x in all_inversion_sequences(n):
+        w = from_inversion_sequence(x)
+        if inversion_sequence(w) != x:
+            return False
+        seen.add(w)
+    return len(seen) == math.factorial(n)
+
+
+@lru_cache(maxsize=None)
+def _boolean_by_rank_recursive(n: int) -> tuple[int, ...]:
+    """b(n,k) = n b(n-1,k) + (n-1) b(n-1,k-1), with b(1,0) = 1."""
+    if n == 1:
+        return (1,)
+    prev = _boolean_by_rank_recursive(n - 1)
+
+    def at(k: int) -> int:
+        return prev[k] if 0 <= k < len(prev) else 0
+
+    return tuple(n * at(k) + (n - 1) * at(k - 1) for k in range(n))
+
+
+def pseudocomplement_by_listing(v):
+    """~v built from the one-line notation: the right-to-left minima of v
+    in decreasing order, then the remaining values in increasing order."""
+    minima = sorted(right_to_left_minima(v), reverse=True)
+    rest = sorted(set(v) - set(minima))
+    return tuple(minima + rest)
+
+
+def parking_simulation(prefs: Sequence[int]) -> bool:
+    """Car i parks at the first free spot >= p_i; the preferences form a
+    parking function iff every car parks."""
+    p = tuple(prefs)
+    n = len(p)
+    occupied = [False] * (n + 1)
+    for pref in p:
+        spot = pref
+        while spot <= n and occupied[spot]:
+            spot += 1
+        if spot > n:
+            return False
+        occupied[spot] = True
+    return True
+
+
+def _rise_transpositions(v) -> set:
+    """v with the entries of one rise v[a] < v[b], a < b, swapped: every
+    candidate upper cover in the middle, weak and Bruhat orders."""
+    out = set()
+    for a, b in itertools.combinations(range(len(v)), 2):
+        if v[a] < v[b]:
+            word = list(v)
+            word[a], word[b] = word[b], word[a]
+            out.add(tuple(word))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,39 +196,6 @@ def suite_sandwich(n_max: int = 6) -> list[CheckResult]:
 # mesh
 
 
-def _mesh_swaps(v, shaded_test) -> set:
-    """Permutations obtained by swapping a rise (j, i) of v whose
-    between-region passes shaded_test(v, a, b)."""
-    out = set()
-    n = len(v)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if v[a] >= v[b]:
-                continue
-            if not shaded_test(v, a, b):
-                continue
-            word = list(v)
-            word[a], word[b] = word[b], word[a]
-            out.add(tuple(word))
-    return out
-
-
-def _middle_shading(v, a, b) -> bool:
-    # below-and-between: no value smaller than the larger entry between
-    # the two positions
-    return not any(v[c] < v[b] for c in range(a + 1, b))
-
-
-def _weak_shading(v, a, b) -> bool:
-    # full column: no point at all between the two positions
-    return b == a + 1
-
-
-def _bruhat_shading(v, a, b) -> bool:
-    # box: no intermediate value between the two positions
-    return not any(v[a] < v[c] < v[b] for c in range(a + 1, b))
-
-
 def suite_mesh(n_max: int = 6) -> list[CheckResult]:
     out = []
     rise = (1, 2)
@@ -177,23 +214,22 @@ def suite_mesh(n_max: int = 6) -> list[CheckResult]:
     for n in range(1, min(n_max, 6) + 1):
         bad = None
         for v in all_permutations(n):
-            all_swaps = _mesh_swaps(v, lambda *_: True)
+            candidates = _rise_transpositions(v)
             mid = set(orders.upper_covers(v))
-            if mid != _mesh_swaps(v, _middle_shading):
-                bad = (v, "middle")
-                break
-            if _mesh_swaps(v, _weak_shading) != {
-                w for w in all_swaps if orders.weak_covers(v, w)
-            }:
-                bad = (v, "weak")
-                break
-            if _mesh_swaps(v, _bruhat_shading) != {
-                w for w in all_swaps if orders.bruhat_covers(v, w)
-            }:
-                bad = (v, "bruhat")
-                break
+            wrong = [
+                kind for kind, rise, covers in (
+                    ("middle", orders.MIDDLE_RISE, mid),
+                    ("weak", orders.WEAK_RISE,
+                     {w for w in candidates if orders.weak_covers(v, w)}),
+                    ("bruhat", orders.BRUHAT_RISE,
+                     {w for w in candidates if orders.bruhat_covers(v, w)}),
+                )
+                if set(orders._rise_swaps(v, rise)) != covers
+            ]
             if any(orders.cover_mesh_witness(v, w) is None for w in mid):
-                bad = (v, "witness")
+                wrong.append("witness")
+            if wrong:
+                bad = (v, wrong)
                 break
         out.append(_check(f"cover/mesh characterizations n={n}", bad is None, f"{bad}"))
     return out
@@ -262,16 +298,21 @@ def suite_tables(n_max: int = 8) -> list[CheckResult]:
         )
     for n in range(1, min(n_max, 5) + 1):
         out.extend(_oracle_interval_checks(n))
-    out.append(
-        _check(
-            "closed formula matches recursion for boolean counts to n=12",
-            all(
-                counting.boolean_by_rank(n)
-                == counting._boolean_by_rank_recursive(n)
-                for n in range(1, 13)
-            ),
-        )
-    )
+    limit = counting.COUNTING_LIMIT
+    bad = next((n for n in range(1, limit + 1)
+                if counting.boolean_by_rank(n) != _boolean_by_rank_recursive(n)), None)
+    out.append(_check(f"closed formula matches recursion for boolean counts to n={limit}",
+                      bad is None, f"n={bad}"))
+    bad = next((n for n in range(1, limit + 1)
+                if counting.interval_count_total(n)
+                != math.prod(math.comb(i + 2, 2) for i in range(n))), None)
+    out.append(_check(f"interval total equals prod C(i+2,2) to n={limit}",
+                      bad is None, f"n={bad}"))
+    # Stops at n = 20: intervals_by_rank up to n = 50 would double the suite's time.
+    bad = next((n for n in range(2, 21)
+                if counting.covering_relation_count(n) != Fraction(math.factorial(n))
+                * (n - sum(Fraction(1, i) for i in range(1, n + 1)))), None)
+    out.append(_check("cover count equals n!(n - H_n) to n=20", bad is None, f"n={bad}"))
     return out
 
 
@@ -364,7 +405,7 @@ def suite_involutions(n_max: int = 8) -> list[CheckResult]:
                 blocks = involutions.slow_climb_decompose(x)
                 decomposed = True
                 joined = tuple(v for block in blocks for v in block)
-                if joined != x:
+                if joined != x or any(b != tuple(range(len(b))) for b in blocks):
                     bad = x
                     break
             except ValueError:
@@ -478,17 +519,22 @@ def suite_heyting(n_max: int = 6) -> list[CheckResult]:
         out.append(_heyting_max_property(n))
         out.append(_heyting_adjunction(n))
     for n in range(1, min(n_max, 6) + 1):
-        bad = None
+        inflates = listing = criteria = None
         for p in all_permutations(n):
-            ss = heyting.pseudocomplement(heyting.pseudocomplement(p))
-            if not orders.middle_leq(p, ss):
-                bad = p
-                break
-            if heyting.pseudocomplement(p) != heyting.pseudocomplement_by_listing(p):
-                bad = p
-                break
-            heyting.is_regular(p)  # raises if the three criteria disagree
-        out.append(_check(f"double negation inflates n={n}", bad is None, f"{bad}"))
+            s = heyting.pseudocomplement(p)
+            ss = heyting.pseudocomplement(s)
+            if inflates is None and not orders.middle_leq(p, ss):
+                inflates = p
+            if listing is None and s != pseudocomplement_by_listing(p):
+                listing = p
+            avoids = avoids_classical(p, (1, 3, 2)) and avoids_classical(p, (2, 3, 1))
+            if criteria is None and not (p == ss) == heyting.is_regular(p) == avoids:
+                criteria = p
+        out.append(_check(f"double negation inflates n={n}", inflates is None, f"{inflates}"))
+        out.append(_check(f"pseudocomplement matches the listing construction n={n}",
+                          listing is None, f"{listing}"))
+        out.append(_check(f"double-negation, coordinate and 132/231 regularity agree n={n}",
+                          criteria is None, f"{criteria}"))
     for n in range(1, min(n_max, 8) + 1):
         out.append(
             _check(
@@ -569,7 +615,7 @@ def suite_parking(n_max: int = 7) -> list[CheckResult]:
     for n in range(1, min(n_max, 5) + 1):
         bad = None
         for p in itertools.product(range(1, n + 1), repeat=n):
-            if parking.is_parking_function(p) != parking.parking_simulation(p):
+            if parking.is_parking_function(p) != parking_simulation(p):
                 bad = p
                 break
         out.append(_check(f"sorted criterion matches car simulation n={n}",
@@ -578,7 +624,7 @@ def suite_parking(n_max: int = 7) -> list[CheckResult]:
         bad = None
         for p in parking.all_parking_functions(n):
             if any(
-                not parking.parking_simulation(r)
+                not parking_simulation(r)
                 for r in set(itertools.permutations(p))
             ):
                 bad = p
@@ -602,18 +648,36 @@ def suite_parking(n_max: int = 7) -> list[CheckResult]:
                               quint is not None))
             out.append(_check(f"parking lattice is not distributive n={n}",
                               not poset.is_distributive()))
-    for n in range(3, min(n_max, 5) + 1):
-        elements = parking.pentagon_witness(n)
-        sub = posets.FinitePoset.from_leq(
-            elements, lambda a, b: parking.pf_leq(a, b)
-        )
-        out.append(
-            _check(
-                f"pentagon witness is isomorphic to N5 n={n}",
-                sub.are_isomorphic(posets.pentagon()),
-            )
-        )
+    for n in range(3, min(n_max, 7) + 1):
+        out.extend(_pentagon_witness_checks(n))
     return out
+
+
+def _pentagon_witness_checks(n: int) -> list[CheckResult]:
+    elements = parking.pentagon_witness(n)
+    bottom, side, low, high, top = elements
+    leq = parking.pf_leq
+    sub = posets.FinitePoset.from_leq(elements, leq)
+    members = set(elements)
+    closed = all(
+        parking.pf_meet(a, b) in members and parking.pf_join(a, b) in members
+        for a, b in itertools.combinations(elements, 2)
+    )
+    relations = (
+        top is parking.TOP
+        and all(parking.is_parking_function(p) for p in (bottom, side, low, high))
+        and leq(low, high) and not leq(high, low)
+        and not leq(side, low) and not leq(low, side)
+        and not leq(side, high) and not leq(high, side)
+        and parking.pf_meet(side, low) == bottom == parking.pf_meet(side, high)
+        and parking.pf_join(side, low) is top is parking.pf_join(side, high)
+    )
+    return [
+        _check(f"pentagon witness is isomorphic to N5 n={n}",
+               sub.are_isomorphic(posets.pentagon())),
+        _check(f"pentagon witness is closed under meet and join n={n}", closed),
+        _check(f"pentagon witness has the N5 relations n={n}", relations),
+    ]
 
 
 # ---------------------------------------------------------------------------

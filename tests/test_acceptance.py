@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from middleorder import verify
 from middleorder.cli import main as cli_main
 from middleorder.counting import (
-    _boolean_by_rank_recursive,
     boolean_by_rank,
     boolean_interval_total,
     euler_characteristic,
@@ -23,14 +22,12 @@ from middleorder.counting import (
     stirling_first_unsigned,
 )
 from middleorder.heyting import pseudocomplement, relative_pseudocomplement
-from middleorder.involutions import involution_poset, mobius_involution_ideal
 from middleorder.orders import (
     join,
     join_irreducibles,
     meet,
     middle_leq,
     middle_poset,
-    mobius_middle,
     rank,
 )
 from middleorder.parking import all_parking_functions, parking_poset
@@ -38,7 +35,6 @@ from middleorder.permutations import (
     MeshPattern,
     all_permutations,
     cycle_count,
-    identity,
     mesh_contains,
 )
 from middleorder.posets import FinitePoset, boolean_lattice, chain_product
@@ -72,7 +68,7 @@ def test_criterion_01_interval_table_reproduction():
 def test_criterion_02_boolean_table_reproduction():
     for n, row in TABLE2.items():
         assert boolean_by_rank(n) == row
-        assert _boolean_by_rank_recursive(n) == row
+        assert verify._boolean_by_rank_recursive(n) == row
     report(2, "boolean interval counts match via both the formula and the recursion")
 
 
@@ -118,20 +114,15 @@ def test_criterion_05_covering_relation_identity():
 
 
 def test_criterion_06_mobius_closed_form():
-    for n in range(1, 6):
-        poset = middle_poset(n)
-        for i, v in enumerate(poset.labels):
-            for j, w in enumerate(poset.labels):
-                assert mobius_middle(v, w) == poset.mobius(i, j)
+    results = verify.suite_mobius(5)
+    assert results and all(r.ok for r in results), [r for r in results if not r.ok]
     report(6, "closed-form Moebius equals the oracle on all pairs for n = 1..5")
 
 
 def test_criterion_07_involution_mobius_theorem():
     for n in range(1, 9):
-        poset = involution_poset(n)
-        bottom = poset.index_of(identity(n))
-        for i, w in enumerate(poset.labels):
-            assert mobius_involution_ideal(w) == poset.mobius(bottom, i)
+        result = verify._mobius_involution_check(n)
+        assert result.ok, result
     report(7, "involution-ideal Moebius equals the subposet oracle for n = 1..8")
 
 

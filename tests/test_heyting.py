@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from middleorder.heyting import (
     is_regular,
     pseudocomplement,
-    pseudocomplement_by_listing,
     regular_elements,
     regular_subposet,
     relative_pseudocomplement,
@@ -17,6 +16,7 @@ from middleorder.permutations import (
     long_element,
 )
 from middleorder.posets import boolean_lattice
+from middleorder.verify import pseudocomplement_by_listing
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))

@@ -8,7 +8,6 @@ from middleorder.parking import (
     format_parking,
     is_parking_function,
     parking_poset,
-    parking_simulation,
     parse_parking,
     pentagon_witness,
     pf_join,
@@ -17,6 +16,7 @@ from middleorder.parking import (
     validate_parking_function,
 )
 from middleorder.posets import FinitePoset, pentagon
+from middleorder.verify import parking_simulation
 
 
 def test_membership_examples():

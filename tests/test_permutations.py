@@ -22,10 +22,10 @@ from middleorder.permutations import (
     parse_inversion_sequence,
     parse_permutation,
     right_to_left_minima,
-    round_trip_all,
     validate_inversion_sequence,
     validate_permutation,
 )
+from middleorder.verify import round_trip_all
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -67,6 +67,14 @@ def test_validation_rejects_garbage():
         validate_permutation((1, 1, 2))
     with pytest.raises(ValueError):
         validate_permutation((0, 1))
+    # bools and floats compare equal to ints but are not permutation entries
+    for word in ((True,), (True, 2), (2.0, 1.0)):
+        with pytest.raises(ValueError):
+            validate_permutation(word)
+    with pytest.raises(ValueError):
+        inversion_sequence((2.0, 1.0))
+    with pytest.raises(ValueError):
+        format_permutation((2.0, 1.0))
     with pytest.raises(ValueError):
         validate_inversion_sequence((0, 2))
     with pytest.raises(ValueError):

@@ -1,0 +1,47 @@
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import middleorder
+from middleorder import verify
+
+PACKAGE = Path(middleorder.__file__).resolve().parent
+
+# Suites whose checks used to live in the library as assert statements.
+SUITES = ("tables", "heyting", "involutions", "parking")
+N_MAX = 4
+
+CHILD = """
+import json, sys
+from middleorder import verify
+results = {s: verify.run_suite(s, int(sys.argv[2])) for s in sys.argv[1].split(",")}
+print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
+"""
+
+
+def test_suites_agree_under_optimize():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHILD, ",".join(SUITES), str(N_MAX)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    child = json.loads(proc.stdout)
+    assert child["optimize"] == 1
+    here = {s: [list(r) for r in verify.run_suite(s, N_MAX)] for s in SUITES}
+    assert child["results"] == here
+    failed = [r for s in SUITES for r in here[s] if not r[1]]
+    assert all(here.values()) and not failed, failed
+
+
+def test_library_has_no_assert():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
