@@ -9,10 +9,10 @@ boolean algebra of rank n-1.
 """
 from __future__ import annotations
 
-from .orders import middle_leq
+from .orders import middle_subposet
 from .permutations import (
     Perm,
-    from_inversion_sequence,
+    _decode,
     inversion_pair,
     inversion_sequence,
 )
@@ -23,7 +23,7 @@ def relative_pseudocomplement(v: Perm, w: Perm) -> Perm:
     """v ~> w, the maximum z with meet(v, z) <= w."""
     x, y = inversion_pair(v, w)
     z = tuple(i - 1 if x[i - 1] <= y[i - 1] else y[i - 1] for i in range(1, len(x) + 1))
-    return from_inversion_sequence(z)
+    return _decode(z)
 
 
 def pseudocomplement(v: Perm) -> Perm:
@@ -34,7 +34,7 @@ def pseudocomplement(v: Perm) -> Perm:
     """
     x = inversion_sequence(v)
     z = tuple(i - 1 if x[i - 1] == 0 else 0 for i in range(1, len(x) + 1))
-    return from_inversion_sequence(z)
+    return _decode(z)
 
 
 def is_regular(v: Perm) -> bool:
@@ -53,10 +53,10 @@ def regular_elements(n: int) -> list[Perm]:
         coords = [0] + [
             (i - 1) if bits >> (i - 2) & 1 else 0 for i in range(2, n + 1)
         ]
-        out.append(from_inversion_sequence(tuple(coords)))
+        out.append(_decode(tuple(coords)))
     return sorted(out, key=inversion_sequence)
 
 
 def regular_subposet(n: int) -> FinitePoset:
     """Induced subposet of regular elements; boolean of rank n-1."""
-    return FinitePoset.from_leq(regular_elements(n), middle_leq)
+    return middle_subposet(regular_elements(n))

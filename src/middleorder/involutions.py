@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .orders import middle_leq
+from .orders import _codes_leq, middle_subposet
 from .permutations import (
     InvSeq,
     Perm,
+    _encode,
+    _is_involution,
     all_permutations,
-    inversion_sequence,
     is_involution,
     validate_inversion_sequence,
     validate_permutation,
@@ -69,7 +70,10 @@ def all_involutions(n: int) -> tuple[Perm, ...]:
 
 def is_slow_climbing(coords: InvSeq) -> bool:
     """True iff every ascent rises by exactly one."""
-    x = validate_inversion_sequence(coords)
+    return _slow_climbing(validate_inversion_sequence(coords))
+
+
+def _slow_climbing(x: InvSeq) -> bool:
     return all(not (a < b) or b == a + 1 for a, b in zip(x, x[1:]))
 
 
@@ -79,9 +83,9 @@ def slow_climb_decompose(coords: InvSeq) -> list[tuple[int, ...]]:
     Blocks are cut exactly before each zero.
     """
     x = validate_inversion_sequence(coords)
-    if not involution_seq_check(x):
+    if not _seq_check(x):
         raise ValueError(f"{x} is not the inversion sequence of an involution")
-    if not is_slow_climbing(x):
+    if not _slow_climbing(x):
         raise ValueError(f"{x} is not slow-climbing")
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
@@ -121,34 +125,33 @@ def maximal_slow_climbing_below(w: Perm) -> list[Perm]:
 
     Computed by exhaustive filtering of the involutions of size n.
     """
-    w = validate_permutation(w)
-    if not is_involution(w):
-        raise ValueError(f"{w} is not an involution")
-    candidates = [
-        v
-        for v in all_involutions(len(w))
-        if is_slow_climbing(inversion_sequence(v)) and middle_leq(v, w)
-    ]
-    return [
-        v
-        for v in candidates
-        if not any(u != v and middle_leq(v, u) for u in candidates)
-    ]
+    y = _involution_code(w)
+    below = []
+    for v in all_involutions(len(y)):
+        x = _encode(v)
+        if _slow_climbing(x) and _codes_leq(x, y):
+            below.append((v, x))
+    return [v for v, x in below if not any(z != x and _codes_leq(x, z) for _, z in below)]
 
 
 def mobius_involution_ideal(w: Perm) -> int:
     """Moebius value of the principal order ideal [identity, w] inside the
     induced involution subposet."""
-    w = validate_permutation(w)
-    if not is_involution(w):
-        raise ValueError(f"{w} is not an involution")
-    x = inversion_sequence(w)
-    if not is_slow_climbing(x):
+    x = _involution_code(w)
+    if not _slow_climbing(x):
         return 0
     nonzero = sum(1 for v in x if v != 0)
     return -1 if nonzero % 2 else 1
 
 
+def _involution_code(w: Perm) -> InvSeq:
+    """The inversion sequence of w, which is validated once as an involution."""
+    w = validate_permutation(w)
+    if not _is_involution(w):
+        raise ValueError(f"{w} is not an involution")
+    return _encode(w)
+
+
 def involution_poset(n: int) -> FinitePoset:
     """The involutions of size n under the induced middle order."""
-    return FinitePoset.from_leq(all_involutions(n), middle_leq)
+    return middle_subposet(all_involutions(n))

@@ -6,19 +6,20 @@ makes it a distributive lattice (a product of chains).  In all three
 orders an upper cover of v swaps the two entries of a rise 12 of v
 whose shaded region is empty; the orders differ only in the shaded
 cells (Brändén–Claesson mesh patterns).  Weak and Bruhat comparability
-are computed as reflexive-transitive closures of their cover relations,
-cached per size.
+are read from the posets generated by their cover relations, cached per
+size; middle-order posets are built from the coordinates directly.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from .permutations import (
+    InvSeq,
     MeshPattern,
     Perm,
+    _decode,
     all_permutations,
-    from_inversion_sequence,
     inversion_pair,
     inversion_sequence,
     shading_is_empty,
@@ -65,7 +66,11 @@ def _swapped_rise(v: Perm, w: Perm) -> Optional[tuple[int, int]]:
 
 
 def middle_leq(v: Perm, w: Perm) -> bool:
-    x, y = inversion_pair(v, w)
+    return _codes_leq(*inversion_pair(v, w))
+
+
+def _codes_leq(x: InvSeq, y: InvSeq) -> bool:
+    """The middle order on inversion sequences: coordinate-wise."""
     return all(a <= b for a, b in zip(x, y))
 
 
@@ -78,12 +83,12 @@ def middle_covers(v: Perm, w: Perm) -> bool:
 
 def meet(v: Perm, w: Perm) -> Perm:
     x, y = inversion_pair(v, w)
-    return from_inversion_sequence(tuple(min(a, b) for a, b in zip(x, y)))
+    return _decode(tuple(min(a, b) for a, b in zip(x, y)))
 
 
 def join(v: Perm, w: Perm) -> Perm:
     x, y = inversion_pair(v, w)
-    return from_inversion_sequence(tuple(max(a, b) for a, b in zip(x, y)))
+    return _decode(tuple(max(a, b) for a, b in zip(x, y)))
 
 
 def rank(w: Perm) -> int:
@@ -98,7 +103,7 @@ def upper_covers(w: Perm) -> list[Perm]:
     for i in range(len(x)):
         if x[i] < i:
             x[i] += 1
-            out.append(from_inversion_sequence(tuple(x)))
+            out.append(_decode(tuple(x)))
             x[i] -= 1
     return out
 
@@ -116,7 +121,7 @@ def join_irreducibles(n: int) -> list[Perm]:
         for k in range(1, j):
             coords = [0] * n
             coords[j - 1] = k
-            out.append(from_inversion_sequence(tuple(coords)))
+            out.append(_decode(tuple(coords)))
     return out
 
 
@@ -171,63 +176,59 @@ def bruhat_covers(v: Perm, w: Perm) -> bool:
     return _swapped_rise(v, w) is not None and rank(w) == rank(v) + 1
 
 
-@lru_cache(maxsize=None)
-def _closure(n: int, kind: str) -> tuple[dict[Perm, int], list[int]]:
-    """Reachability masks over the cover relation of the given order."""
-    perms = all_permutations(n)
-    index = {p: i for i, p in enumerate(perms)}
-    if kind == "middle":
-        covers_of = upper_covers
-    else:
-        rise = WEAK_RISE if kind == "weak" else BRUHAT_RISE
-        covers_of = partial(_rise_swaps, rise=rise)
-    succ: list[list[int]] = [[] for _ in perms]
-    for p in perms:
-        succ[index[p]] = [index[q] for q in covers_of(p)]
-    above = [0] * len(perms)
-    # Covers raise the inversion count by one, so processing by
-    # decreasing rank is a reverse topological order.
-    for i in sorted(range(len(perms)), key=lambda i: -rank(perms[i])):
-        mask = 1 << i
-        for j in succ[i]:
-            mask |= above[j]
-        above[i] = mask
-    return index, above
-
-
 def weak_leq(v: Perm, w: Perm) -> bool:
     v, w = validate_pair(v, w)
-    index, above = _closure(len(v), "weak")
-    return bool(above[index[v]] >> index[w] & 1)
+    return _cover_poset(len(v), WEAK_RISE).leq_labels(v, w)
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
     v, w = validate_pair(v, w)
-    index, above = _closure(len(v), "bruhat")
-    return bool(above[index[v]] >> index[w] & 1)
+    return _cover_poset(len(v), BRUHAT_RISE).leq_labels(v, w)
 
 
 # ---------------------------------------------------------------------------
 # Posets for the oracle and for diagrams
 
 
+def middle_subposet(perms: Iterable[Perm]) -> FinitePoset:
+    """The permutations perms (all of one size) under the induced middle order.
+
+    Each label is encoded once.  Comparison is coordinate-wise, so the
+    up-set of x is the intersection over i of {y : y_i >= x_i}, read from
+    per-coordinate threshold bitsets.
+    """
+    perms = tuple(perms)
+    codes = [inversion_sequence(p) for p in perms]
+    if len({len(x) for x in codes}) > 1:
+        raise ValueError("permutations of different sizes")
+    above = [(1 << len(codes)) - 1] * len(codes)
+    for i in range(1, len(codes[0]) if codes else 0):
+        # at_least[v] = {k : codes[k][i] >= v}
+        at_least = [0] * (i + 2)
+        for k, x in enumerate(codes):
+            at_least[x[i]] |= 1 << k
+        for v in range(i - 1, -1, -1):
+            at_least[v] |= at_least[v + 1]
+        above = [mask & at_least[x[i]] for mask, x in zip(above, codes)]
+    return FinitePoset(perms, above)
+
+
 def middle_poset(n: int) -> FinitePoset:
-    return _cover_poset(n, upper_covers)
+    return middle_subposet(all_permutations(n))
 
 
 def weak_poset(n: int) -> FinitePoset:
-    return _cover_poset(n, partial(_rise_swaps, rise=WEAK_RISE))
+    return _cover_poset(n, WEAK_RISE)
 
 
 def bruhat_poset(n: int) -> FinitePoset:
-    return _cover_poset(n, partial(_rise_swaps, rise=BRUHAT_RISE))
+    return _cover_poset(n, BRUHAT_RISE)
 
 
-def _cover_poset(n, covers_of) -> FinitePoset:
+@lru_cache(maxsize=None)
+def _cover_poset(n: int, rise: MeshPattern) -> FinitePoset:
+    """S_n ordered by the closure of its rise swaps, cached per size."""
     perms = all_permutations(n)
     index = {p: i for i, p in enumerate(perms)}
-    pairs = []
-    for p in perms:
-        for q in covers_of(p):
-            pairs.append((index[p], index[q]))
+    pairs = [(index[p], index[q]) for p in perms for q in _rise_swaps(p, rise)]
     return FinitePoset.from_covers(perms, pairs)

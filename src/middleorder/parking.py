@@ -12,6 +12,7 @@ distributive for n >= 3 (it contains a pentagon).
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Sequence, Union
 
 from .posets import FinitePoset
@@ -38,11 +39,6 @@ ParkingFunction = Union[tuple[int, ...], _Top]
 
 def validate_parking_function(prefs: Sequence[int]) -> tuple[int, ...]:
     p = tuple(prefs)
-    n = len(p)
-    if n == 0:
-        raise ValueError("parking functions of size 0 are not supported")
-    if any(not 1 <= v <= n for v in p):
-        raise ValueError(f"preferences must lie in [1, {n}]: {p!r}")
     if not is_parking_function(p):
         raise ValueError(f"{p!r} is not a parking function")
     return p
@@ -56,7 +52,12 @@ def is_parking_function(prefs: Sequence[int]) -> bool:
         raise ValueError("parking functions of size 0 are not supported")
     if any(not 1 <= v <= n for v in p):
         raise ValueError(f"preferences must lie in [1, {n}]: {p!r}")
-    return all(q <= i for i, q in enumerate(sorted(p), start=1))
+    return _parks(p)
+
+
+def _parks(p: tuple[int, ...]) -> bool:
+    """The sorted criterion alone, for preferences already in [1, n]."""
+    return all(map(operator.le, sorted(p), range(1, len(p) + 1)))
 
 
 def pf_leq(p: ParkingFunction, q: ParkingFunction) -> bool:
@@ -94,11 +95,9 @@ def pf_join(p: ParkingFunction, q: ParkingFunction) -> ParkingFunction:
 
 
 def all_parking_functions(n: int) -> list[tuple[int, ...]]:
-    return [
-        p
-        for p in itertools.product(range(1, n + 1), repeat=n)
-        if is_parking_function(p)
-    ]
+    if n < 1:
+        raise ValueError("parking functions of size 0 are not supported")
+    return list(filter(_parks, itertools.product(range(1, n + 1), repeat=n)))
 
 
 def parking_poset(n: int) -> FinitePoset:

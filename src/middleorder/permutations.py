@@ -47,10 +47,15 @@ def validate_pair(v: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
 
 
 def validate_inversion_sequence(coords: Sequence[int]) -> InvSeq:
-    """Return coords as a tuple, checking x_i in [0, i-1] for every i."""
+    """Return coords as a tuple, checking x_i in [0, i-1] for every i.
+
+    Entries must be of type int, as in validate_permutation.
+    """
     x = tuple(coords)
     if len(x) == 0:
         raise ValueError("inversion sequences of size 0 are not supported")
+    if set(map(type, x)) != {int}:
+        raise ValueError(f"entries must be int: {x!r}")
     for i, xi in enumerate(x, start=1):
         if not 0 <= xi <= i - 1:
             raise ValueError(f"coordinate {i} is {xi}, outside [0, {i - 1}]")
@@ -79,7 +84,11 @@ def inverse(w: Perm) -> Perm:
 
 def inversion_sequence(w: Perm) -> InvSeq:
     """x_i = number of values j < i appearing after i in one-line notation."""
-    w = validate_permutation(w)
+    return _encode(validate_permutation(w))
+
+
+def _encode(w: Perm) -> InvSeq:
+    """inversion_sequence of an already validated permutation."""
     pos = inverse(w)
     return tuple(
         sum(1 for j in range(1, i) if pos[j - 1] > pos[i - 1])
@@ -103,7 +112,11 @@ def from_inversion_sequence(coords: Sequence[int]) -> Perm:
     from the right of the current word, so exactly x_i smaller values end
     up after it.
     """
-    x = validate_inversion_sequence(coords)
+    return _decode(validate_inversion_sequence(coords))
+
+
+def _decode(x: InvSeq) -> Perm:
+    """from_inversion_sequence of an already validated sequence."""
     word: list[int] = []
     for i, xi in enumerate(x, start=1):
         word.insert(len(word) - xi, i)
@@ -119,7 +132,7 @@ def all_inversion_sequences(n: int) -> Iterator[InvSeq]:
 
 def all_permutations(n: int) -> list[Perm]:
     """All of S_n, ordered lexicographically by inversion sequence."""
-    return [from_inversion_sequence(x) for x in all_inversion_sequences(n)]
+    return [_decode(x) for x in all_inversion_sequences(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +247,12 @@ def cycle_count(w: Perm) -> int:
 
 
 def is_involution(w: Perm) -> bool:
-    w = validate_permutation(w)
-    return all(w[w[i - 1] - 1] == i for i in range(1, len(w) + 1))
+    return _is_involution(validate_permutation(w))
+
+
+def _is_involution(w: Perm) -> bool:
+    """is_involution of an already validated permutation."""
+    return all(w[v - 1] == i for i, v in enumerate(w, start=1))
 
 
 def foata_image(w: Perm) -> Perm:

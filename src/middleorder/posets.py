@@ -4,8 +4,8 @@ A generic finite-poset engine used as an independent brute-force verifier.
 A FinitePoset stores an indexed list of opaque labels, the cover
 relation (as the transitive reduction of the order), and the full
 reachability relation as per-element bitmasks.  Everything here is
-computed from first principles -- recursion for the Moebius function,
-pairwise bound checks for the lattice property, exhaustive or
+computed from first principles -- the defining sum for the Moebius
+function, pairwise bound checks for the lattice property, exhaustive or
 witness-driven searches for distributivity -- so that the closed-form
 results elsewhere in the package can be checked against it.
 """
@@ -27,19 +27,40 @@ class FinitePoset:
         # above[i] is a bitmask of the j with i <= j (including i itself).
         self.labels = tuple(labels)
         self.n = len(self.labels)
-        self._above = above
-        self._below = [0] * self.n
-        for i in range(self.n):
-            mask = above[i]
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                self._below[j] |= 1 << i
-                mask &= mask - 1
-        self._covers = self._transitive_reduction()
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != self.n:
             raise PosetError("duplicate labels")
-        self._mobius_memo: dict[tuple[int, int], int] = {}
+        self._above = above
+        # Covers: sweep the strict up-set of i by increasing index; each
+        # visited j strikes out everything strictly above it.  A strict
+        # upper bound of i is struck by a cover below it, and a cover is
+        # never struck, so the survivors are the covers in any index
+        # order.  The sweep visits only covers when the indices follow a
+        # linear extension, as they do for every poset this package
+        # builds; otherwise it may visit each element of the up-set.
+        lower: list[list[int]] = [[] for _ in range(self.n)]
+        covers = []
+        for i, mask in enumerate(above):
+            keep = rest = mask & ~(1 << i)
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                keep &= ~above[j] | low
+                rest = keep >> (j + 1) << (j + 1)
+            for j in _bits(keep):
+                lower[j].append(i)
+                covers.append((i, j))
+        self._covers = frozenset(covers)
+        # Strictly larger up-sets come first: a topological order.
+        self._order = sorted(range(self.n), key=lambda i: -above[i].bit_count())
+        below = [0] * self.n
+        for j in self._order:
+            mask = 1 << j
+            for i in lower[j]:
+                mask |= below[i]
+            below[j] = mask
+        self._below = below
+        self._mobius_rows: dict[int, dict[int, int]] = {}
         self._lub: Optional[list[list[int]]] = None
         self._glb: Optional[list[list[int]]] = None
 
@@ -98,19 +119,6 @@ class FinitePoset:
                     raise PosetError("relation not transitive")
         return cls(labels, above)
 
-    def _transitive_reduction(self) -> frozenset[tuple[int, int]]:
-        covers = set()
-        for i in range(self.n):
-            strict = self._above[i] & ~(1 << i)
-            mask = strict
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                between = strict & (self._below[j] & ~(1 << j))
-                if between == 0:
-                    covers.add((i, j))
-        return frozenset(covers)
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -135,32 +143,37 @@ class FinitePoset:
     def maximal_elements(self) -> list[int]:
         return [i for i in range(self.n) if self._above[i] == 1 << i]
 
-    def _topo(self) -> list[int]:
-        succ = [[] for _ in range(self.n)]
-        for lo, hi in self._covers:
-            succ[lo].append(hi)
-        return _topological_order(self.n, succ)
-
     # -- Moebius -------------------------------------------------------------
 
     def mobius(self, s: int, u: int) -> int:
-        """Recursive Moebius function, memoized per (s, u) pair."""
-        if s == u:
-            return 1
-        if not self.leq(s, u):
+        """Moebius function; the whole row mu(s, .) is computed on first use."""
+        if not self._above[s] >> u & 1:
             return 0
-        key = (s, u)
-        if key in self._mobius_memo:
-            return self._mobius_memo[key]
-        total = 0
-        interval = self._above[s] & self._below[u] & ~(1 << u)
-        mask = interval
-        while mask:
-            t = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            total += self.mobius(s, t)
-        self._mobius_memo[key] = -total
-        return -total
+        row = self._mobius_rows.get(s)
+        if row is None:
+            row = self._mobius_rows[s] = self._mobius_row(s)
+        return row[u]
+
+    def _mobius_row(self, s: int) -> dict[int, int]:
+        """mu(s, u) for every u >= s by the defining sum
+        mu(s, u) = -sum(mu(s, t) for s <= t < u), in topological order.
+        masks[c] holds the t already given the value c, so each sum is one
+        popcount per distinct value."""
+        up = self._above[s]
+        row: dict[int, int] = {}
+        masks: dict[int, int] = {}
+        for u in self._order:
+            if not up >> u & 1:
+                continue
+            if u == s:
+                value = 1
+            else:
+                interval = up & self._below[u]
+                value = -sum(c * (interval & m).bit_count() for c, m in masks.items())
+            row[u] = value
+            if value:
+                masks[value] = masks.get(value, 0) | 1 << u
+        return row
 
     def mobius_labels(self, a: Hashable, b: Hashable) -> int:
         return self.mobius(self._index[a], self._index[b])
@@ -190,7 +203,7 @@ class FinitePoset:
         from the minimal elements, or (False, (chain_a, chain_b)) with two
         saturated chains of different lengths between the same endpoints.
         """
-        topo = self._topo()
+        topo = self._order
         pred: list[list[int]] = [[] for _ in range(self.n)]
         for lo, hi in self._covers:
             pred[hi].append(lo)

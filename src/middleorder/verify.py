@@ -165,10 +165,12 @@ def suite_bijection(n_max: int = 7) -> list[CheckResult]:
 def suite_sandwich(n_max: int = 6) -> list[CheckResult]:
     out = []
     for n in range(1, min(n_max, 6) + 1):
-        index, weak = orders._closure(n, "weak")
-        _, middle = orders._closure(n, "middle")
-        _, bruhat = orders._closure(n, "bruhat")
+        # The three posets share the label order of all_permutations(n).
+        weak = orders.weak_poset(n)._above
+        middle = orders.middle_poset(n)._above
+        bruhat = orders.bruhat_poset(n)._above
         perms = all_permutations(n)
+        index = {w: i for i, w in enumerate(perms)}
         ok_wm = all(weak[i] & ~middle[i] == 0 for i in range(len(perms)))
         ok_mb = all(middle[i] & ~bruhat[i] == 0 for i in range(len(perms)))
         out.append(_check(f"weak refined by middle n={n}", ok_wm))
@@ -364,6 +366,13 @@ def suite_mobius(n_max: int = 5) -> list[CheckResult]:
             _check(f"closed-form Moebius matches oracle on all pairs n={n}",
                    bad is None, f"{bad}")
         )
+    for n in range(1, min(n_max, 6) + 1):
+        poset = orders.middle_poset(n)
+        by_swaps = {
+            (i, poset.index_of(w)) for i, v in enumerate(poset.labels) for w in orders.upper_covers(v)
+        }
+        out.append(_check(f"upper covers are the covers of the coordinate order n={n}",
+                          by_swaps == poset.covers))
     for n in range(1, min(n_max, 5) + 1):
         ji = orders.join_irreducibles(n)
         by_cover = {w for w in all_permutations(n) if _lower_cover_count(w) == 1}
@@ -462,7 +471,7 @@ def suite_involutions(n_max: int = 8) -> list[CheckResult]:
                 break
         out.append(_check(f"maximal slow-climbers dominate every slow-climber n={n}",
                           bad is None, f"{bad}"))
-    for n in range(1, min(n_max, 8) + 1):
+    for n in range(1, min(n_max, 9) + 1):
         out.append(_mobius_involution_check(n))
     for n in range(1, min(n_max, 7) + 1):
         bad = None

@@ -1,5 +1,6 @@
 import pytest
 
+from middleorder import involutions, permutations
 from middleorder.involutions import (
     all_involutions,
     clusters,
@@ -132,6 +133,25 @@ def test_maximal_slow_climbing_below():
                     assert a == b or not middle_leq(a, b)
     with pytest.raises(ValueError):
         maximal_slow_climbing_below((2, 3, 1))
+
+
+def test_involution_queries_validate_their_argument_once(monkeypatch):
+    w = (2, 1, 4, 3)
+    all_involutions(len(w))  # enumerated (and cached) before counting
+    seen = []
+    real = permutations.validate_permutation
+
+    def counting(word):
+        seen.append(tuple(word))
+        return real(word)
+
+    monkeypatch.setattr(permutations, "validate_permutation", counting)
+    monkeypatch.setattr(involutions, "validate_permutation", counting)
+    assert mobius_involution_ideal(w) == 1
+    assert seen == [w]
+    seen.clear()
+    assert maximal_slow_climbing_below(w) == [w]
+    assert seen == [w]
 
 
 def test_involution_poset_n4_golden():

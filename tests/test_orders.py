@@ -12,6 +12,7 @@ from middleorder.orders import (
     middle_covers,
     middle_leq,
     middle_poset,
+    middle_subposet,
     mobius_middle,
     rank,
     upper_covers,
@@ -20,7 +21,7 @@ from middleorder.orders import (
     weak_poset,
 )
 from middleorder.permutations import all_permutations, identity, long_element
-from middleorder.posets import chain_product
+from middleorder.posets import FinitePoset, PosetError, chain_product
 
 pairs = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(
@@ -175,3 +176,24 @@ def test_size_mismatch_rejected():
         middle_leq((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         meet((1,), (2, 1))
+
+
+S5 = all_permutations(5)
+
+
+@given(st.lists(st.sampled_from(S5), unique=True, max_size=40))
+def test_middle_subposet_matches_pairwise_comparison(perms):
+    fast = middle_subposet(perms)
+    slow = FinitePoset.from_leq(perms, middle_leq)
+    assert fast.labels == slow.labels
+    assert fast._above == slow._above
+    assert fast.covers == slow.covers
+
+
+def test_middle_subposet_rejects_bad_labels():
+    with pytest.raises(ValueError):
+        middle_subposet([(1, 2), (1, 2, 3)])
+    with pytest.raises(PosetError):
+        middle_subposet([(2, 1), (2, 1)])
+    with pytest.raises(ValueError):
+        middle_subposet([(1, 1)])

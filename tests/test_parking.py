@@ -53,6 +53,14 @@ def test_validation():
         validate_parking_function([0, 1])
     with pytest.raises(ValueError):
         validate_parking_function([])
+    with pytest.raises(ValueError):
+        all_parking_functions(0)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_enumeration_filters_like_the_predicate(n):
+    every = itertools.product(range(1, n + 1), repeat=n)
+    assert all_parking_functions(n) == [p for p in every if is_parking_function(p)]
 
 
 def test_order_operations():

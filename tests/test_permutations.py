@@ -79,6 +79,12 @@ def test_validation_rejects_garbage():
         validate_inversion_sequence((0, 2))
     with pytest.raises(ValueError):
         validate_inversion_sequence(())
+    # the same type rule holds for inversion-sequence entries
+    for coords in ((False,), (0, True), (0, 1.0), (0.0,)):
+        with pytest.raises(ValueError):
+            validate_inversion_sequence(coords)
+    with pytest.raises(ValueError):
+        from_inversion_sequence((0, 1.0))
 
 
 def test_enumeration_order_is_invseq_lex():

@@ -1,6 +1,8 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from middleorder.posets import (
     FinitePoset,
@@ -62,6 +64,39 @@ def test_transitive_reduction_round_trip_random_dags():
         assert q.covers == p.covers
 
 
+def _brute_covers_and_below(p):
+    """Covers and down-sets read off the comparability relation pair by pair."""
+    n = p.n
+    strict = [[j for j in range(n) if j != i and p.leq(i, j)] for i in range(n)]
+    covers = {
+        (i, j) for i in range(n) for j in strict[i]
+        if not any(k != j and p.leq(k, j) for k in strict[i])
+    }
+    below = [sum(1 << i for i in range(n) if p.leq(i, j)) for j in range(n)]
+    return covers, below
+
+
+@given(st.data())
+def test_constructor_matches_brute_force_on_shuffled_dags(data):
+    n = data.draw(st.integers(min_value=1, max_value=20))
+    position = data.draw(st.permutations(range(n)))  # index -> place in a hidden linear order
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * n))
+    pairs = [(a, b) for a, b in edges if position[a] < position[b]]
+    p = FinitePoset.from_covers(range(n), pairs)
+    implied = [(i, j) for i, j in p.enumerate_intervals() if i != j]
+    extra = data.draw(st.lists(st.sampled_from(implied))) if implied else []
+    redundant = FinitePoset.from_covers(range(n), pairs + extra)
+    for q in (p, redundant):
+        covers, below = _brute_covers_and_below(q)
+        assert q._above == p._above
+        assert q.covers == covers
+        assert q._below == below
+        rank = {i: k for k, i in enumerate(q._order)}
+        assert sorted(q._order) == list(range(n))
+        assert all(rank[i] < rank[j] for i, j in covers)
+
+
 def test_reduction_drops_implied_edges():
     p = FinitePoset.from_covers([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert p.covers == {(0, 1), (1, 2)}
@@ -110,6 +145,40 @@ def test_mobius_sum_rule(maker):
     for i, j in p.enumerate_intervals():
         if i != j:
             assert sum(p.mobius(i, t) for t in p.interval_elements(i, j)) == 0
+
+
+def _mobius_by_definition(p):
+    @lru_cache(maxsize=None)
+    def mu(s, u):
+        if s == u:
+            return 1
+        if not p.leq(s, u):
+            return 0
+        return -sum(mu(s, t) for t in p.interval_elements(s, u) if t != u)
+    return mu
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: boolean_lattice(3), pentagon, diamond, lambda: antichain(3), lambda: chain(5),
+    lambda: chain_product((2, 3, 3)), lambda: product(pentagon(), chain(2)),
+    lambda: divisor_poset([30, 1, 6, 2, 10, 3, 15, 5]),
+    lambda: boolean_lattice(4).induced_subposet([(0, 1, 2, 3), (1,), (), (0, 1), (0,), (2, 3)]),
+])
+def test_mobius_matches_the_defining_recursion(maker):
+    p = maker()
+    mu = _mobius_by_definition(p)
+    assert [[p.mobius(s, u) for u in range(p.n)] for s in range(p.n)] == [
+        [mu(s, u) for u in range(p.n)] for s in range(p.n)
+    ]
+
+
+def test_mobius_on_a_long_chain_with_reversed_indices():
+    # Index 0 is the top, so the interval [bottom, top] is 3000 elements
+    # deep in index order; the Moebius row must not recurse.
+    c = FinitePoset.from_covers(range(3000), [(i + 1, i) for i in range(2999)])
+    assert c.mobius(2999, 0) == 0
+    assert c.mobius(1, 0) == -1
+    assert c.mobius(0, 2999) == 0
 
 
 # -- gradedness ---------------------------------------------------------------------
