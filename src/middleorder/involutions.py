@@ -17,8 +17,6 @@ from .permutations import (
     Perm,
     _encode,
     _is_involution,
-    all_permutations,
-    is_involution,
     validate_inversion_sequence,
     validate_permutation,
 )
@@ -64,8 +62,28 @@ def involution_count(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def all_involutions(n: int) -> tuple[Perm, ...]:
-    """Involutions of size n, ordered lexicographically by inversion sequence."""
-    return tuple(w for w in all_permutations(n) if is_involution(w))
+    """Involutions of size n, ordered lexicographically by inversion sequence.
+
+    Generated size by size as i(m) = i(m-1) + (m-1) i(m-2): m is either
+    a fixed point added to an involution of size m-1, or paired with some
+    j < m, the other m-2 values carrying an involution of size m-2.
+    """
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    before, current = [()], [(1,)]
+    for m in range(2, n + 1):
+        paired = [_pair_with_top(u, j, m) for j in range(1, m) for u in before]
+        before, current = current, [u + (m,) for u in current] + paired
+    return tuple(sorted(current, key=_encode))
+
+
+def _pair_with_top(u: Perm, j: int, m: int) -> Perm:
+    """The involution of size m pairing j with m, with u (of size m-2)
+    relabelled onto the values 1..m-1 other than j."""
+    word = [k + (k >= j) for k in u]
+    word.insert(j - 1, m)
+    word.append(j)
+    return tuple(word)
 
 
 def is_slow_climbing(coords: InvSeq) -> bool:

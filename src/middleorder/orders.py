@@ -24,6 +24,7 @@ from .permutations import (
     inversion_sequence,
     shading_is_empty,
     validate_pair,
+    validate_permutation,
 )
 from .posets import FinitePoset
 
@@ -97,14 +98,34 @@ def rank(w: Perm) -> int:
 
 
 def upper_covers(w: Perm) -> list[Perm]:
-    """Elements covering w in the middle order, in coordinate order."""
-    x = list(inversion_sequence(w))
+    """Elements covering w in the middle order, in coordinate order.
+
+    The cover raising x_i by one swaps value i with the nearest value
+    smaller than i to its left (the shaded rise of MIDDLE_RISE); it
+    exists exactly when x_i < i - 1.  One monotone-stack pass finds
+    those values, so the cost is O(n) plus the n-entry copy per cover.
+    """
+    w = validate_permutation(w)
+    n = len(w)
+    pos = [0] * (n + 1)
+    # left_smaller[v] = nearest value smaller than v to its left, 0 if none
+    left_smaller = [0] * (n + 1)
+    stack = [0]
+    for p, v in enumerate(w):
+        while stack[-1] > v:
+            stack.pop()
+        left_smaller[v] = stack[-1]
+        stack.append(v)
+        pos[v] = p
+    word = list(w)
     out = []
-    for i in range(len(x)):
-        if x[i] < i:
-            x[i] += 1
-            out.append(_decode(tuple(x)))
-            x[i] -= 1
+    for i in range(2, n + 1):
+        j = left_smaller[i]
+        if j:
+            a, b = pos[j], pos[i]
+            word[a], word[b] = i, j
+            out.append(tuple(word))
+            word[a], word[b] = j, i
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .posets import FinitePoset
 
@@ -95,9 +95,14 @@ def pf_join(p: ParkingFunction, q: ParkingFunction) -> ParkingFunction:
 
 
 def all_parking_functions(n: int) -> list[tuple[int, ...]]:
+    return list(_parking_functions(n))
+
+
+def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
+    """The parking functions of size n, lazily, in lexicographic order."""
     if n < 1:
         raise ValueError("parking functions of size 0 are not supported")
-    return list(filter(_parks, itertools.product(range(1, n + 1), repeat=n)))
+    return filter(_parks, itertools.product(range(1, n + 1), repeat=n))
 
 
 def parking_poset(n: int) -> FinitePoset:

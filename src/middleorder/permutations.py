@@ -88,12 +88,26 @@ def inversion_sequence(w: Perm) -> InvSeq:
 
 
 def _encode(w: Perm) -> InvSeq:
-    """inversion_sequence of an already validated permutation."""
-    pos = inverse(w)
-    return tuple(
-        sum(1 for j in range(1, i) if pos[j - 1] > pos[i - 1])
-        for i in range(1, len(w) + 1)
-    )
+    """inversion_sequence of an already validated permutation, in O(n log n).
+
+    Scans w from right to left, counting the values seen so far in a
+    Fenwick tree over 1..n: x_v is the number of seen values below v.
+    """
+    n = len(w)
+    tree = [0] * (n + 1)
+    x = [0] * n
+    for v in reversed(w):
+        below = 0
+        k = v - 1
+        while k:
+            below += tree[k]
+            k &= k - 1
+        x[v - 1] = below
+        k = v
+        while k <= n:
+            tree[k] += 1
+            k += k & -k
+    return tuple(x)
 
 
 def inversion_pair(v: Sequence[int], w: Sequence[int]) -> tuple[InvSeq, InvSeq]:

@@ -467,7 +467,18 @@ class FinitePoset:
     # -- import / export --------------------------------------------------------
 
     def to_edge_list(self) -> str:
-        lines = sorted(f"{self.labels[i]} < {self.labels[j]}" for i, j in self._covers)
+        """One line 'a < b' per cover, sorted.
+
+        Raises PosetError for a label whose text would not parse back as
+        itself: one that is empty, spans lines, has surrounding whitespace,
+        or contains ' < ' once a space is appended (so also one ending
+        in ' <').
+        """
+        texts = [str(lab) for lab in self.labels]
+        for text in texts:
+            if text.splitlines() != [text] or text != text.strip() or " < " in text + " ":
+                raise PosetError(f"label {text!r} cannot be written as an edge list")
+        lines = sorted(f"{texts[i]} < {texts[j]}" for i, j in self._covers)
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -490,29 +501,35 @@ class FinitePoset:
         return cls.from_covers(labels, pairs)
 
     def to_dot(self, name: str = "poset") -> str:
+        """The Hasse diagram in DOT, every node declared on its own line.
+
+        Labels are quoted with backslash, double quote and newline escaped.
+        """
+        quoted = [_dot_quote(lab) for lab in self.labels]
         lines = [f"digraph {name} {{", '  rankdir="BT";']
-        for lab in self.labels:
-            lines.append(f'  "{lab}";')
-        for i, j in sorted(self._covers):
-            lines.append(f'  "{self.labels[i]}" -> "{self.labels[j]}";')
+        lines.extend(f"  {q};" for q in quoted)
+        lines.extend(f"  {quoted[i]} -> {quoted[j]};" for i, j in sorted(self._covers))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_dot(cls, text: str) -> "FinitePoset":
-        node_re = re.compile(r'^\s*"([^"]+)"\s*;\s*$')
-        edge_re = re.compile(r'"([^"]+)"\s*->\s*"([^"]+)"')
+        node_re = re.compile(rf"^\s*{_DOT_STRING}\s*;\s*$")
+        edge_re = re.compile(rf"{_DOT_STRING}\s*->\s*{_DOT_STRING}")
         labels: list[str] = []
         seen: dict[str, int] = {}
 
-        def intern(lab: str) -> int:
+        def intern(quoted: str) -> int:
+            lab = re.sub(r"\\(.)", _dot_unescape, quoted)
             if lab not in seen:
                 seen[lab] = len(labels)
                 labels.append(lab)
             return seen[lab]
 
         pairs = []
-        for line in text.splitlines():
+        # Not splitlines(): to_dot escapes only "\n", so other line
+        # boundaries ("\r", "\x85", ...) may occur inside a label.
+        for line in text.split("\n"):
             m = node_re.match(line)
             if m:
                 intern(m.group(1))
@@ -520,6 +537,19 @@ class FinitePoset:
             for a, b in edge_re.findall(line):
                 pairs.append((intern(a), intern(b)))
         return cls.from_covers(labels, pairs)
+
+
+# A double-quoted DOT string on one line; group 1 is its escaped content.
+_DOT_STRING = r'"((?:[^"\\\n]|\\.)*)"'
+
+
+def _dot_quote(label: Hashable) -> str:
+    text = str(label).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
+
+
+def _dot_unescape(m: re.Match) -> str:
+    return "\n" if m.group(1) == "n" else m.group(1)
 
 
 # ---------------------------------------------------------------------------

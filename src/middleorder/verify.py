@@ -2,10 +2,11 @@
 Named verification suites cross-checking every closed form in the
 package against brute force, and the independent oracles they use.
 
-The oracles re-derive a fact by a second route (the boolean-count
-recursion, the car-parking simulation, the listing construction of
-pseudocomplements, ...); the library never calls them, so a suite
-compares two implementations that share no code.
+The oracles re-derive a fact by a second route (the definitional
+inversion count, the boolean-count recursion, the car-parking
+simulation, the listing construction of pseudocomplements, ...); the
+library never calls them, so a suite compares two implementations that
+share no code.
 
 Each suite returns a list of CheckResult records; a suite passes when
 every record does.  Failures carry a counterexample in the detail
@@ -78,6 +79,15 @@ def round_trip_all(n: int) -> bool:
     return len(seen) == math.factorial(n)
 
 
+def inversion_sequence_by_counting(w) -> tuple[int, ...]:
+    """x_i counted from the definition, the values smaller than i that
+    appear after i in w, in O(n^2) steps."""
+    x = [0] * len(w)
+    for p, i in enumerate(w):
+        x[i - 1] = sum(1 for j in w[p + 1:] if j < i)
+    return tuple(x)
+
+
 @lru_cache(maxsize=None)
 def _boolean_by_rank_recursive(n: int) -> tuple[int, ...]:
     """b(n,k) = n b(n-1,k) + (n-1) b(n-1,k-1), with b(1,0) = 1."""
@@ -136,14 +146,19 @@ def suite_bijection(n_max: int = 7) -> list[CheckResult]:
     for n in range(1, min(n_max, 8) + 1):
         out.append(_check(f"round-trip bijection n={n}", round_trip_all(n)))
     for n in range(1, min(n_max, 7) + 1):
-        bad = None
+        # One encode of each w serves both checks.
+        bad_code = bad_minima = None
         for w in all_permutations(n):
             x = inversion_sequence(w)
+            if bad_code is None and x != inversion_sequence_by_counting(w):
+                bad_code = w
             zeros = {i for i in range(1, n + 1) if x[i - 1] == 0}
-            if right_to_left_minima(w) != zeros:
-                bad = w
-                break
-        out.append(_check(f"RL-minima are the zero coordinates n={n}", bad is None, f"w={bad}"))
+            if bad_minima is None and right_to_left_minima(w) != zeros:
+                bad_minima = w
+        out.append(_check(f"encode matches the definition n={n}",
+                          bad_code is None, f"w={bad_code}"))
+        out.append(_check(f"RL-minima are the zero coordinates n={n}",
+                          bad_minima is None, f"w={bad_minima}"))
     for n in range(1, min(n_max, 6) + 1):
         images = set()
         bad = None
@@ -392,6 +407,15 @@ def _lower_cover_count(w) -> int:
 
 def suite_involutions(n_max: int = 8) -> list[CheckResult]:
     out = []
+    for n in range(1, min(n_max, 8) + 1):
+        invs = involutions.all_involutions(n)
+        codes = [inversion_sequence(w) for w in invs]
+        ok = (
+            all(map(is_involution, invs))
+            and all(a < b for a, b in zip(codes, codes[1:]))
+            and len(invs) == involutions.involution_count(n)
+        )
+        out.append(_check(f"generated involutions are all involutions, in order n={n}", ok))
     for n in range(1, min(n_max, 8) + 1):
         bad = None
         passing = 0
@@ -644,7 +668,7 @@ def suite_parking(n_max: int = 7) -> list[CheckResult]:
         out.append(
             _check(
                 f"(n+1)^(n-1) parking functions n={n}",
-                len(parking.all_parking_functions(n)) == (n + 1) ** (n - 1),
+                sum(1 for _ in parking._parking_functions(n)) == (n + 1) ** (n - 1),
             )
         )
     for n in range(1, min(n_max, 4) + 1):

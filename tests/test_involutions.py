@@ -15,6 +15,7 @@ from middleorder.involutions import (
 from middleorder.orders import middle_leq
 from middleorder.permutations import (
     all_inversion_sequences,
+    all_permutations,
     from_inversion_sequence,
     identity,
     inversion_sequence,
@@ -42,6 +43,16 @@ def word(w):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_involution_counts(n):
     assert len(all_involutions(n)) == involution_count(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generated_involutions_equal_the_filter(n):
+    assert all_involutions(n) == tuple(w for w in all_permutations(n) if is_involution(w))
+
+
+def test_all_involutions_rejects_size_zero():
+    with pytest.raises(ValueError):
+        all_involutions(0)
 
 
 def test_count_values():

@@ -20,7 +20,13 @@ from middleorder.orders import (
     weak_leq,
     weak_poset,
 )
-from middleorder.permutations import all_permutations, identity, long_element
+from middleorder.permutations import (
+    all_permutations,
+    from_inversion_sequence,
+    identity,
+    inversion_sequence,
+    long_element,
+)
 from middleorder.posets import FinitePoset, PosetError, chain_product
 
 pairs = st.integers(min_value=1, max_value=6).flatmap(
@@ -94,6 +100,24 @@ def test_meet_join_are_bounds(vw):
     m, j = meet(v, w), join(v, w)
     assert middle_leq(m, v) and middle_leq(m, w)
     assert middle_leq(v, j) and middle_leq(w, j)
+
+
+@given(st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))
+).map(tuple))
+def test_upper_covers_raise_one_coordinate(w):
+    x = inversion_sequence(w)
+    expected = [
+        from_inversion_sequence(x[:i] + (x[i] + 1,) + x[i + 1:])
+        for i in range(len(x)) if x[i] < i
+    ]
+    assert upper_covers(w) == expected
+
+
+@pytest.mark.parametrize("bad", [(), (True,), (2, True), (1, 1), (1, 2, 2), (0, 1)])
+def test_upper_covers_reject_bad_input(bad):
+    with pytest.raises(ValueError):
+        upper_covers(bad)
 
 
 def test_rank_is_inversion_count():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,9 +27,12 @@ from middleorder.permutations import (
     validate_inversion_sequence,
     validate_permutation,
 )
-from middleorder.verify import round_trip_all
+from middleorder.verify import inversion_sequence_by_counting, round_trip_all
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))
+).map(tuple)
+large_perms = st.integers(min_value=1, max_value=300).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 ).map(tuple)
 
@@ -53,6 +58,20 @@ def test_round_trip_exhaustive(n):
 @given(perms)
 def test_round_trip_property(w):
     assert from_inversion_sequence(inversion_sequence(w)) == w
+
+
+@given(large_perms)
+def test_encode_matches_the_counting_definition(w):
+    assert inversion_sequence(w) == inversion_sequence_by_counting(w)
+
+
+def test_round_trip_at_large_n():
+    w = list(range(1, 20001))
+    random.Random(20000).shuffle(w)
+    w = tuple(w)
+    x = inversion_sequence(w)
+    validate_inversion_sequence(x)
+    assert from_inversion_sequence(x) == w
 
 
 @given(perms)

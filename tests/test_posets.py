@@ -294,3 +294,45 @@ def test_dot_includes_isolated_nodes():
     p = antichain(3)
     q = FinitePoset.from_dot(p.to_dot())
     assert q.n == 3 and not q.covers
+
+
+def text_chain(labels):
+    return FinitePoset.from_covers(labels, [(i, i + 1) for i in range(len(labels) - 1)])
+
+
+def test_dot_escapes_quotes_backslashes_and_newlines():
+    p = text_chain(['a"b', "c", "d\\", 'e\\"', "f\ng", ""])
+    q = FinitePoset.from_dot(p.to_dot())
+    assert q.labels == p.labels and q.covers == p.covers
+
+
+@pytest.mark.parametrize("label", ["x < y", "a\nb", "a\rb", " a", "a ", "", "a <"])
+def test_edge_list_rejects_labels_it_cannot_write(label):
+    with pytest.raises(PosetError):
+        text_chain(["p", label]).to_edge_list()
+
+
+@given(st.lists(st.text(), min_size=1, max_size=6, unique=True))
+def test_dot_round_trips_any_text_labels(labels):
+    p = text_chain(labels)
+    q = FinitePoset.from_dot(p.to_dot())
+    assert q.labels == p.labels and q.covers == p.covers
+
+
+@given(st.lists(st.text(), min_size=2, max_size=6, unique=True))
+def test_edge_list_round_trips_or_refuses(labels):
+    p = text_chain(labels)
+    try:
+        text = p.to_edge_list()
+    except PosetError:
+        return
+    assert FinitePoset.from_edge_list(text).cover_labels() == p.cover_labels()
+
+
+@given(st.lists(
+    st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1),
+    min_size=2, max_size=6, unique=True,
+))
+def test_edge_list_writes_labels_without_spaces_or_controls(labels):
+    p = text_chain(labels)
+    assert FinitePoset.from_edge_list(p.to_edge_list()).cover_labels() == p.cover_labels()
