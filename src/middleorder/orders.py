@@ -212,26 +212,11 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
 
 
 def middle_subposet(perms: Iterable[Perm]) -> FinitePoset:
-    """The permutations perms (all of one size) under the induced middle order.
-
-    Each label is encoded once.  Comparison is coordinate-wise, so the
-    up-set of x is the intersection over i of {y : y_i >= x_i}, read from
-    per-coordinate threshold bitsets.
-    """
+    """The permutations perms (all of one size) under the induced middle
+    order: the componentwise order of their inversion sequences, each
+    label encoded once."""
     perms = tuple(perms)
-    codes = [inversion_sequence(p) for p in perms]
-    if len({len(x) for x in codes}) > 1:
-        raise ValueError("permutations of different sizes")
-    above = [(1 << len(codes)) - 1] * len(codes)
-    for i in range(1, len(codes[0]) if codes else 0):
-        # at_least[v] = {k : codes[k][i] >= v}
-        at_least = [0] * (i + 2)
-        for k, x in enumerate(codes):
-            at_least[x[i]] |= 1 << k
-        for v in range(i - 1, -1, -1):
-            at_least[v] |= at_least[v + 1]
-        above = [mask & at_least[x[i]] for mask, x in zip(above, codes)]
-    return FinitePoset(perms, above)
+    return FinitePoset.from_vectors(perms, [inversion_sequence(p) for p in perms])
 
 
 def middle_poset(n: int) -> FinitePoset:

@@ -106,10 +106,10 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def parking_poset(n: int) -> FinitePoset:
-    """The parking functions of size n with the adjoined top."""
-    labels: list[ParkingFunction] = list(all_parking_functions(n))
-    labels.append(TOP)
-    return FinitePoset.from_leq(labels, lambda a, b: (a is b) or pf_leq(a, b))
+    """The parking functions of size n with the adjoined top, whose
+    vector (n+1, ..., n+1) lies above every parking function's."""
+    pfs = all_parking_functions(n)
+    return FinitePoset.from_vectors(pfs + [TOP], pfs + [(n + 1,) * n])
 
 
 def pentagon_witness(n: int):

@@ -5,9 +5,9 @@ A FinitePoset stores an indexed list of opaque labels, the cover
 relation (as the transitive reduction of the order), and the full
 reachability relation as per-element bitmasks.  Everything here is
 computed from first principles -- the defining sum for the Moebius
-function, pairwise bound checks for the lattice property, exhaustive or
-witness-driven searches for distributivity -- so that the closed-form
-results elsewhere in the package can be checked against it.
+function, pairwise bound checks for the lattice property, Birkhoff's
+representation for distributivity -- so that the closed-form results
+elsewhere in the package can be checked against it.
 """
 from __future__ import annotations
 
@@ -73,14 +73,7 @@ class FinitePoset:
         """Build from cover index pairs (lower, upper); rejects cycles."""
         labels = tuple(labels)
         n = len(labels)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for lo, hi in cover_pairs:
-            if not (0 <= lo < n and 0 <= hi < n):
-                raise PosetError(f"dangling index in cover ({lo}, {hi})")
-            if lo == hi:
-                raise PosetError("self-loop in cover relation")
-            succ[lo].append(hi)
-        order = _topological_order(n, succ)  # raises on cycles
+        order, succ = _topological_order(n, cover_pairs)
         above = [0] * n
         for i in reversed(order):
             mask = 1 << i
@@ -117,6 +110,33 @@ class FinitePoset:
                     raise PosetError("relation not antisymmetric")
                 if above[j] & ~mi:
                     raise PosetError("relation not transitive")
+        return cls(labels, above)
+
+    @classmethod
+    def from_vectors(
+        cls, labels: Sequence[Hashable], vectors: Sequence[Sequence[int]]
+    ) -> "FinitePoset":
+        """The labels ordered componentwise by their vectors.  The up-set of
+        x is the intersection over coordinates i of {y : y_i >= x_i}, read
+        from threshold bitsets over the ranks of the values in column i.
+        Raises PosetError unless the vectors, one per label, have one
+        length and are distinct."""
+        labels = tuple(labels)
+        vectors = [tuple(v) for v in vectors]
+        if len(vectors) != len(labels) or len({len(v) for v in vectors}) > 1:
+            raise PosetError("need one vector per label, all of one length")
+        if len(set(vectors)) != len(vectors):
+            raise PosetError("two labels have the same vector")
+        above = [(1 << len(labels)) - 1] * len(labels)
+        for column in zip(*vectors):
+            rank = {v: r for r, v in enumerate(sorted(set(column)))}
+            # at_least[r] = {k : column[k] has rank >= r}
+            at_least = [0] * (len(rank) + 1)
+            for k, v in enumerate(column):
+                at_least[rank[v]] |= 1 << k
+            for r in range(len(rank) - 1, -1, -1):
+                at_least[r] |= at_least[r + 1]
+            above = [mask & at_least[rank[v]] for mask, v in zip(above, column)]
         return cls(labels, above)
 
     # -- basic queries -------------------------------------------------------
@@ -278,23 +298,8 @@ class FinitePoset:
         )
 
     def is_distributive(self) -> bool:
-        """Exhaustive triple check of both distributive laws."""
-        if not self.is_lattice():
-            return False
-        lub, glb = self._bound_tables()
-        rng = range(self.n)
-        for s in rng:
-            ls, gs = lub[s], glb[s]
-            for t in rng:
-                lst, gst = ls[t], gs[t]
-                glb_t = glb[t]
-                lub_t = lub[t]
-                for u in rng:
-                    if ls[glb_t[u]] != glb[lst][ls[u]]:
-                        return False
-                    if gs[lub_t[u]] != lub[gst][gs[u]]:
-                        return False
-        return True
+        """Whether this is a distributive lattice, by is_distributive_lattice."""
+        return is_distributive_lattice(self.n, self._covers)
 
     def find_pentagon(self) -> Optional[tuple[int, int, int, int, int]]:
         """An N5 sublattice (bottom, short, low, high, top), via a modularity
@@ -316,24 +321,6 @@ class FinitePoset:
                         return quint
         return None
 
-    def find_diamond(self) -> Optional[tuple[int, int, int, int, int]]:
-        """An M3 sublattice (bottom, a, b, c, top) in a modular lattice."""
-        if not self.is_lattice():
-            raise PosetError("diamond search requires a lattice")
-        lub, glb = self._bound_tables()
-        for x, y, z in itertools.combinations(range(self.n), 3):
-            d = lub[lub[glb[x][y]][glb[y][z]]][glb[z][x]]
-            e = glb[glb[lub[x][y]][lub[y][z]]][lub[z][x]]
-            if d == e:
-                continue
-            xx = lub[glb[x][e]][d]
-            yy = lub[glb[y][e]][d]
-            zz = lub[glb[z][e]][d]
-            quint = (d, xx, yy, zz, e)
-            if self._is_m3(quint):
-                return quint
-        return None
-
     def _is_n5(self, quint: tuple[int, int, int, int, int]) -> bool:
         bot, y, a, b, top = quint
         if len(set(quint)) != 5:
@@ -352,39 +339,6 @@ class FinitePoset:
             and not self.leq(y, a)
             and not self.leq(a, y)
         )
-
-    def _is_m3(self, quint: tuple[int, int, int, int, int]) -> bool:
-        bot, a, b, c, top = quint
-        if len(set(quint)) != 5:
-            return False
-        lub, glb = self._bound_tables()
-        for s, t in itertools.combinations((a, b, c), 2):
-            if glb[s][t] != bot or lub[s][t] != top:
-                return False
-        return True
-
-    def is_distributive_by_sublattices(self) -> bool:
-        """Distributive iff no N5 and no M3 sublattice exists."""
-        return self.find_pentagon() is None and self.find_diamond() is None
-
-    def find_n5_or_m3_subset(self) -> Optional[tuple[int, ...]]:
-        """Brute-force search over 5-element subsets (small posets only)."""
-        if self.n > 30:
-            raise PosetError("brute-force sublattice search capped at 30 elements")
-        if not self.is_lattice():
-            raise PosetError("sublattice search requires a lattice")
-        lub, glb = self._bound_tables()
-        for subset in itertools.combinations(range(self.n), 5):
-            members = set(subset)
-            if any(
-                lub[s][t] not in members or glb[s][t] not in members
-                for s, t in itertools.combinations(subset, 2)
-            ):
-                continue
-            for perm in itertools.permutations(subset):
-                if self._is_n5(perm) or self._is_m3(perm):
-                    return subset
-        return None
 
     # -- subposets, isomorphism ------------------------------------------------
 
@@ -469,15 +423,17 @@ class FinitePoset:
     def to_edge_list(self) -> str:
         """One line 'a < b' per cover, sorted.
 
-        Raises PosetError for a label whose text would not parse back as
-        itself: one that is empty, spans lines, has surrounding whitespace,
-        or contains ' < ' once a space is appended (so also one ending
-        in ' <').
+        Raises PosetError for what would not parse back as itself: an
+        element in no cover, two labels with the same text, or a label
+        that is empty, spans lines, has surrounding whitespace, or contains
+        ' < ' once a space is appended (so also one ending in ' <').
         """
-        texts = [str(lab) for lab in self.labels]
+        texts = _distinct_texts([str(lab) for lab in self.labels])
         for text in texts:
             if text.splitlines() != [text] or text != text.strip() or " < " in text + " ":
                 raise PosetError(f"label {text!r} cannot be written as an edge list")
+        if len({i for pair in self._covers for i in pair}) != self.n:
+            raise PosetError("an element in no cover cannot be written as an edge list")
         lines = sorted(f"{texts[i]} < {texts[j]}" for i, j in self._covers)
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -504,8 +460,9 @@ class FinitePoset:
         """The Hasse diagram in DOT, every node declared on its own line.
 
         Labels are quoted with backslash, double quote and newline escaped.
+        Raises PosetError when two labels have the same text.
         """
-        quoted = [_dot_quote(lab) for lab in self.labels]
+        quoted = _distinct_texts([_dot_quote(lab) for lab in self.labels])
         lines = [f"digraph {name} {{", '  rankdir="BT";']
         lines.extend(f"  {q};" for q in quoted)
         lines.extend(f"  {quoted[i]} -> {quoted[j]};" for i, j in sorted(self._covers))
@@ -541,6 +498,12 @@ class FinitePoset:
 
 # A double-quoted DOT string on one line; group 1 is its escaped content.
 _DOT_STRING = r'"((?:[^"\\\n]|\\.)*)"'
+
+
+def _distinct_texts(texts: list[str]) -> list[str]:
+    if len(set(texts)) != len(texts):
+        raise PosetError("two labels have the same text")
+    return texts
 
 
 def _dot_quote(label: Hashable) -> str:
@@ -624,11 +587,60 @@ def chain_product(sizes: Sequence[int]) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-def _topological_order(n: int, succ: list[list[int]]) -> list[int]:
+def is_distributive_lattice(n: int, covers: Iterable[tuple[int, int]]) -> bool:
+    """Whether the cover pairs (lower, upper) on 0..n-1 are the Hasse
+    diagram of a distributive lattice; PosetError for a dangling index or
+    a cycle.
+
+    Birkhoff (Stanley, EC1 3.4): with J the elements that have one lower
+    cover and phi(y) = J & down-set(y) as a bitmask, they are iff phi is
+    injective (so one element is minimal) and the upper covers of each x
+    carry exactly the masks phi(x) | {j}, j minimal in J - phi(x); phi is
+    then an isomorphism onto the down-sets of J.  O(covers + n |J|), with
+    no n x n table."""
+    if n < 0:
+        raise PosetError(f"negative size {n}")
+    order, succ = _topological_order(n, dict.fromkeys(covers))  # drops repeats, keeps order
+    phi = [0] * n
+    lower_count = [0] * n
+    # (bit of j, the J-elements strictly below j) for each j in J
+    irreducible: list[tuple[int, int]] = []
+    for y in order:
+        if lower_count[y] == 1:
+            bit = 1 << len(irreducible)
+            irreducible.append((bit, phi[y]))
+            phi[y] |= bit
+        for z in succ[y]:
+            phi[z] |= phi[y]
+            lower_count[z] += 1
+    if len(set(phi)) != n:
+        return False
+    for x in range(n):
+        down = phi[x]
+        added = 0  # phi(x) lies inside phi(y), so y adds these bits
+        for y in succ[x]:
+            bit = phi[y] ^ down
+            if bit & (bit - 1):
+                return False
+            added |= bit
+        minimal = sum([bit for bit, below in irreducible if not below & ~down])
+        if added != minimal & ~down:
+            return False
+    return True
+
+
+def _topological_order(
+    n: int, cover_pairs: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[list[int]]]:
+    """A topological order of the cover pairs, and each element's upper
+    covers; PosetError for a dangling index or a cycle (or self-loop)."""
+    succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for i in range(n):
-        for j in succ[i]:
-            indeg[j] += 1
+    for lo, hi in cover_pairs:
+        if not (0 <= lo < n and 0 <= hi < n):
+            raise PosetError(f"dangling index in cover ({lo}, {hi})")
+        succ[lo].append(hi)
+        indeg[hi] += 1
     stack = [i for i in range(n) if indeg[i] == 0]
     order = []
     while stack:
@@ -640,7 +652,7 @@ def _topological_order(n: int, succ: list[list[int]]) -> list[int]:
                 stack.append(j)
     if len(order) != n:
         raise PosetError("cover relation contains a cycle")
-    return order
+    return order, succ
 
 
 def _bits(mask: int) -> list[int]:

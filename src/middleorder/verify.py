@@ -4,9 +4,9 @@ package against brute force, and the independent oracles they use.
 
 The oracles re-derive a fact by a second route (the definitional
 inversion count, the boolean-count recursion, the car-parking
-simulation, the listing construction of pseudocomplements, ...); the
-library never calls them, so a suite compares two implementations that
-share no code.
+simulation, the listing construction of pseudocomplements, both
+distributive laws checked on every triple, ...); the library never
+calls them, so a suite compares two implementations that share no code.
 
 Each suite returns a list of CheckResult records; a suite passes when
 every record does.  Failures carry a counterexample in the detail
@@ -122,6 +122,27 @@ def parking_simulation(prefs: Sequence[int]) -> bool:
         if spot > n:
             return False
         occupied[spot] = True
+    return True
+
+
+def is_distributive_by_triples(poset: posets.FinitePoset) -> bool:
+    """Whether poset is a lattice satisfying both distributive laws,
+    checked on every triple from its join and meet tables: O(n^3)."""
+    if not poset.is_lattice():
+        return False
+    lub, glb = poset._bound_tables()
+    rng = range(poset.n)
+    for s in rng:
+        ls, gs = lub[s], glb[s]
+        for t in rng:
+            lst, gst = ls[t], gs[t]
+            glb_t = glb[t]
+            lub_t = lub[t]
+            for u in rng:
+                if ls[glb_t[u]] != glb[lst][ls[u]]:
+                    return False
+                if gs[lub_t[u]] != lub[gst][gs[u]]:
+                    return False
     return True
 
 
@@ -388,6 +409,22 @@ def suite_mobius(n_max: int = 5) -> list[CheckResult]:
         }
         out.append(_check(f"upper covers are the covers of the coordinate order n={n}",
                           by_swaps == poset.covers))
+    for n in range(1, min(n_max, 8) + 1):
+        # From the permutation-side cover swaps alone: at n = 8 a bitset
+        # poset would need ~400 MB of masks.
+        perms = all_permutations(n)
+        index = {w: i for i, w in enumerate(perms)}
+        covers = [(i, index[u]) for i, w in enumerate(perms) for u in orders.upper_covers(w)]
+        out.append(_check(f"middle order is a distributive lattice n={n}",
+                          posets.is_distributive_lattice(len(perms), covers),
+                          f"{len(perms)} elements, {len(covers)} covers"))
+    for n in range(1, min(n_max, 4) + 1):
+        bad = [kind for kind, poset in (("middle", orders.middle_poset(n)),
+                                        ("weak", orders.weak_poset(n)),
+                                        ("bruhat", orders.bruhat_poset(n)))
+               if poset.is_distributive() != is_distributive_by_triples(poset)]
+        out.append(_check(f"distributivity certificate matches the triple scan n={n}",
+                          not bad, f"{bad}"))
     for n in range(1, min(n_max, 5) + 1):
         ji = orders.join_irreducibles(n)
         by_cover = {w for w in all_permutations(n) if _lower_cover_count(w) == 1}

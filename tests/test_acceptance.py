@@ -5,7 +5,6 @@ succeeds (run with -s to see them; under plain pytest the verbose
 test listing serves the same purpose).
 """
 import math
-import os
 from fractions import Fraction
 
 from click.testing import CliRunner
@@ -223,9 +222,4 @@ def test_criterion_15_structural_properties():
         graded, ranks = poset.is_graded()
         assert graded
         assert all(ranks[i] == rank(poset.labels[i]) for i in range(poset.n))
-    deep = os.environ.get("MIDDLEORDER_DEEP") == "1"
-    if deep:
-        assert middle_poset(5).is_distributive()
-    suffix = " (including the n = 5 triple scan)" if deep else ""
-    report(15, "the middle order is a graded distributive chain-product "
-               f"lattice{suffix}")
+    report(15, "the middle order is a graded distributive chain-product lattice")

@@ -93,6 +93,8 @@ def test_hasse_limit(runner):
     assert invoke(runner, "hasse", "--order", "middle", "--n", "6").exit_code == 2
     deep = invoke(runner, "hasse", "--order", "regular", "--n", "6", "--limit", "6")
     assert deep.exit_code == 0
+    # A limit above the ceiling fails even for a diagram within it.
+    assert invoke(runner, "hasse", "--order", "middle", "--n", "1", "--limit", "7").exit_code == 2
 
 
 # -- query --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from middleorder.parking import (
     TOP,
@@ -97,6 +98,15 @@ def test_parking_poset_is_a_lattice(n):
     assert poset.is_lattice()
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_parking_poset_matches_pairwise_comparison(n):
+    labels = all_parking_functions(n) + [TOP]
+    slow = FinitePoset.from_leq(labels, lambda a, b: a is b or pf_leq(a, b))
+    fast = parking_poset(n)
+    assert fast.labels == slow.labels
+    assert fast._above == slow._above
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_parking_lattice_is_not_modular(n):
     poset = parking_poset(n)
@@ -122,3 +132,10 @@ def test_serialization():
         parse_parking("2,2,3")
     with pytest.raises(ValueError):
         parse_parking("x")
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.just(TOP) | st.lists(st.integers(1, n), min_size=n, max_size=n)
+    .map(tuple).filter(is_parking_function)))
+def test_parse_parking_inverts_format(p):
+    assert parse_parking(format_parking(p)) == p

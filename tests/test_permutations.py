@@ -195,6 +195,18 @@ def test_format_parse_round_trip():
     assert parse_inversion_sequence("0,0,2") == (0, 0, 2)
 
 
+@given(st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(tuple))
+def test_parse_permutation_inverts_format(w):
+    assert parse_permutation(format_permutation(w)) == w
+
+
+@given(st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(*(st.integers(0, i) for i in range(n)))))
+def test_parse_inversion_sequence_inverts_format(x):
+    assert parse_inversion_sequence(format_inversion_sequence(x)) == x
+
+
 def test_parse_rejects_bad_input():
     for text in ("", "abc", "1,x", "122"):
         with pytest.raises(ValueError):

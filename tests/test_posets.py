@@ -4,6 +4,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from middleorder.involutions import involution_poset
+from middleorder.orders import upper_covers
+from middleorder.parking import parking_poset
+from middleorder.permutations import all_permutations
 from middleorder.posets import (
     FinitePoset,
     PosetError,
@@ -12,9 +16,11 @@ from middleorder.posets import (
     chain,
     chain_product,
     diamond,
+    is_distributive_lattice,
     pentagon,
     product,
 )
+from middleorder.verify import is_distributive_by_triples
 
 
 def divisor_poset(numbers):
@@ -218,30 +224,108 @@ def test_distributive_recognition():
 
 def test_sublattice_witnesses():
     assert pentagon().find_pentagon() is not None
-    assert pentagon().find_diamond() is None
-    assert diamond().find_diamond() is not None
     assert diamond().find_pentagon() is None
     assert boolean_lattice(3).find_pentagon() is None
-    assert boolean_lattice(3).find_diamond() is None
+
+
+STOCK_POSETS = [
+    pentagon(),
+    diamond(),
+    product(pentagon(), chain(2)),
+    product(diamond(), chain(2)),
+    boolean_lattice(4),
+    chain(6),
+    chain_product((2, 3, 4)),
+    parking_poset(3),
+    parking_poset(4),
+    involution_poset(4),
+    antichain(0),
+    antichain(1),
+    antichain(2),
+]
 
 
 def test_distributivity_checkers_agree():
-    posets = [
-        boolean_lattice(3),
-        boolean_lattice(4),
-        pentagon(),
-        diamond(),
-        chain(6),
-        chain_product((2, 3, 4)),
-        product(pentagon(), chain(2)),
-        product(diamond(), chain(2)),
-    ]
-    for p in posets:
-        assert p.n <= 30
-        if not p.is_lattice():
+    for p in STOCK_POSETS:
+        assert p.is_distributive() == is_distributive_by_triples(p)
+
+
+@given(st.data())
+def test_distributivity_certificate_matches_triple_scan(data):
+    n = data.draw(st.integers(min_value=0, max_value=9))
+    position = data.draw(st.permutations(range(n)))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * n)) if n else []
+    p = FinitePoset.from_covers(range(n), [(a, b) for a, b in edges if position[a] < position[b]])
+    assert p.is_distributive() == is_distributive_by_triples(p)
+
+
+def middle_cover_list(n):
+    perms = all_permutations(n)
+    index = {w: i for i, w in enumerate(perms)}
+    return len(perms), [(i, index[u]) for i, w in enumerate(perms) for u in upper_covers(w)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_certificate_rejects_a_dropped_cover_or_a_redundant_edge(n):
+    size, covers = middle_cover_list(n)
+    assert is_distributive_lattice(size, covers)
+    for k in range(len(covers)):
+        assert not is_distributive_lattice(size, covers[:k] + covers[k + 1:])
+    succ = {}
+    for lo, hi in covers:
+        succ.setdefault(lo, []).append(hi)
+    shortcuts = {(x, z) for x, y in covers for z in succ.get(y, ())}
+    assert shortcuts or n < 3
+    for edge in shortcuts:
+        assert not is_distributive_lattice(size, covers + [edge])
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_certificate_matches_triple_scan_after_merging_two_elements(n):
+    rng = random.Random(n)
+    size, covers = middle_cover_list(n)
+    for _ in range(100):
+        keep, gone = rng.sample(range(size), 2)
+        merged = {(keep if lo == gone else lo, keep if hi == gone else hi) for lo, hi in covers}
+        try:
+            p = FinitePoset.from_covers(range(size), [(a, b) for a, b in merged if a != b])
+        except PosetError:  # the merge closed a cycle
             continue
-        assert p.is_distributive() == p.is_distributive_by_sublattices()
-        assert p.is_distributive() == (p.find_n5_or_m3_subset() is None)
+        assert p.is_distributive() == is_distributive_by_triples(p)
+
+
+def test_certificate_rejects_malformed_diagrams():
+    assert is_distributive_lattice(0, [])
+    assert is_distributive_lattice(2, [(0, 1), (0, 1)])
+    for n, covers in ((2, [(0, 2)]), (2, [(-1, 0)]), (2, [(0, 1), (1, 0)]),
+                      (1, [(0, 0)]), (-1, [])):
+        with pytest.raises(PosetError):
+            is_distributive_lattice(n, covers)
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), unique=True, max_size=30)))
+def test_from_vectors_matches_componentwise_leq(vectors):
+    labels = [f"v{k}" for k in range(len(vectors))]
+    fast = FinitePoset.from_vectors(labels, vectors)
+    by_label = dict(zip(labels, vectors))
+    slow = FinitePoset.from_leq(
+        labels, lambda a, b: all(x <= y for x, y in zip(by_label[a], by_label[b])))
+    assert fast.labels == slow.labels
+    assert fast._above == slow._above
+    assert fast.covers == slow.covers
+
+
+def test_from_vectors_rejects_bad_vectors():
+    with pytest.raises(PosetError):
+        FinitePoset.from_vectors("ab", [(0, 1), (0, 1)])
+    with pytest.raises(PosetError):
+        FinitePoset.from_vectors("ab", [(0, 1), (0,)])
+    with pytest.raises(PosetError):
+        FinitePoset.from_vectors("ab", [(0, 1)])
+    far = FinitePoset.from_vectors("ab", [(-10**12,), (10**12,)])
+    assert far.leq(0, 1) and not far.leq(1, 0)
 
 
 # -- isomorphism ------------------------------------------------------------------------
@@ -294,6 +378,21 @@ def test_dot_includes_isolated_nodes():
     p = antichain(3)
     q = FinitePoset.from_dot(p.to_dot())
     assert q.n == 3 and not q.covers
+
+
+def test_edge_list_refuses_an_element_in_no_cover():
+    assert antichain(0).to_edge_list() == ""
+    for p in (antichain(1), antichain(3), FinitePoset.from_covers("abc", [(0, 1)])):
+        with pytest.raises(PosetError):
+            p.to_edge_list()
+
+
+def test_serializers_refuse_labels_with_the_same_text():
+    p = FinitePoset.from_covers([1, "1", 2], [(0, 2), (1, 2)])
+    with pytest.raises(PosetError):
+        p.to_edge_list()
+    with pytest.raises(PosetError):
+        p.to_dot()
 
 
 def text_chain(labels):

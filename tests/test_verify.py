@@ -45,3 +45,19 @@ def test_library_has_no_assert():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_library_does_not_import_its_oracles():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                parts = module.split(".") + [
+                    part for alias in node.names for part in alias.name.split(".")
+                ]
+                if "verify" in parts:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
