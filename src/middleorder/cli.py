@@ -107,10 +107,7 @@ def cmd_hasse(order: str, n: int, style: str, limit: int) -> None:
     if n > limit:
         raise click.UsageError(f"n = {n} exceeds the diagram limit {limit}")
     poset = _build_poset(order, n)
-    relabeled = FinitePoset(
-        [_node_text(lab, order, style) for lab in poset.labels],
-        poset._above,
-    )
+    relabeled = poset.relabeled([_node_text(lab, order, style) for lab in poset.labels])
     click.echo(relabeled.to_dot(name=order), nl=False)
 
 

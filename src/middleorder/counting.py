@@ -102,18 +102,24 @@ def boolean_interval_total(n: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+# Rows (c(n, 0), ..., c(n, n)) computed so far, by n.
+_STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
+
+
 def stirling_first_unsigned(n: int, j: int) -> int:
-    """c(n, j): permutations of size n with j cycles."""
+    """c(n, j): permutations of size n with j cycles.  Row n is built, then
+    memoised, from the nearest memoised row below it by
+    c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)."""
     if n < 0 or j < 0:
         raise ValueError("need n >= 0 and j >= 0")
-    if j > n:
-        return 0
-    if n == 0:
-        return 1 if j == 0 else 0
-    if j == 0:
-        return 0
-    return stirling_first_unsigned(n - 1, j - 1) + (n - 1) * stirling_first_unsigned(n - 1, j)
+    row = _STIRLING_ROWS.get(n)
+    if row is None:
+        start = max(m for m in _STIRLING_ROWS if m < n)
+        row = _STIRLING_ROWS[start]
+        for m in range(start + 1, n + 1):
+            row = tuple(a + (m - 1) * b for a, b in zip((0,) + row, row + (0,)))
+        _STIRLING_ROWS[n] = row
+    return row[j] if j <= n else 0
 
 
 def boolean_by_rank(n: int) -> tuple[int, ...]:
@@ -122,10 +128,8 @@ def boolean_by_rank(n: int) -> tuple[int, ...]:
     Computed by the closed formula b(n,k) = sum_i C(i,k) c(n,n-i).
     """
     _check_n(n)
-    return tuple(
-        sum(math.comb(i, k) * stirling_first_unsigned(n, n - i) for i in range(n + 1))
-        for k in range(n)
-    )
+    c = [stirling_first_unsigned(n, n - i) for i in range(n + 1)]
+    return tuple(sum(math.comb(i, k) * c[i] for i in range(n + 1)) for k in range(n))
 
 
 def euler_characteristic(w: Perm) -> int:
@@ -136,9 +140,7 @@ def euler_characteristic(w: Perm) -> int:
 
 def euler_distribution(n: int) -> tuple[int, ...]:
     """Histogram of the Euler characteristic over S_n; entry k equals
-    c(n, n-k)."""
-    if n > 10:
-        raise ValueError("exhaustive distribution capped at n = 10")
+    c(n, n-k); ValueError from all_permutations beyond n = 10."""
     counts = [0] * n
     for w in all_permutations(n):
         counts[euler_characteristic(w)] += 1

@@ -45,9 +45,10 @@ def is_regular(v: Perm) -> bool:
 
 
 def regular_elements(n: int) -> list[Perm]:
-    """The 2^(n-1) regular elements, ordered by inversion sequence."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    """The 2^(n-1) regular elements, ordered by inversion sequence;
+    ValueError beyond n = 22, where 2^(n-1) would exceed 10!."""
+    if not 1 <= n <= 22:
+        raise ValueError("size must be in [1, 22]")
     out = []
     for bits in range(2 ** (n - 1)):
         coords = [0] + [

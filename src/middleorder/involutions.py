@@ -36,28 +36,28 @@ def involution_seq_check(coords: InvSeq) -> bool:
 
 
 def _seq_check(x: tuple[int, ...]) -> bool:
-    n = len(x)
-    if n == 0:
-        return True
-    k = x[n - 1]
-    if k == 0:
-        return _seq_check(x[:-1])
-    if x[n - k - 1] != 0:
-        return False
-    reduced = x[: n - k - 1] + tuple(v - 1 for v in x[n - k : n - 1])
-    if any(v < 0 for v in reduced):
-        return False
-    return _seq_check(reduced)
+    """The recursion of involution_seq_check, as a loop."""
+    x = list(x)
+    while x:
+        k = x.pop()
+        if k:
+            m = len(x) - k  # position n-k, counted from 1
+            if x[m] != 0:
+                return False
+            x[m:] = [v - 1 for v in x[m + 1:]]
+            if any(v < 0 for v in x[m:]):
+                return False
+    return True
 
 
-@lru_cache(maxsize=None)
 def involution_count(n: int) -> int:
     """i(n) = i(n-1) + (n-1) i(n-2), with i(0) = i(1) = 1."""
     if n < 0:
         raise ValueError("size must be >= 0")
-    if n <= 1:
-        return 1
-    return involution_count(n - 1) + (n - 1) * involution_count(n - 2)
+    prev, count = 1, 1
+    for m in range(2, n + 1):
+        prev, count = count, count + (m - 1) * prev
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -198,11 +198,13 @@ def bruhat_covers(v: Perm, w: Perm) -> bool:
 
 
 def weak_leq(v: Perm, w: Perm) -> bool:
+    """Reads the weak order on S_n, built once per n; ValueError for n > 7."""
     v, w = validate_pair(v, w)
     return _cover_poset(len(v), WEAK_RISE).leq_labels(v, w)
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
+    """Reads the Bruhat order on S_n, built once per n; ValueError for n > 7."""
     v, w = validate_pair(v, w)
     return _cover_poset(len(v), BRUHAT_RISE).leq_labels(v, w)
 
@@ -233,7 +235,10 @@ def bruhat_poset(n: int) -> FinitePoset:
 
 @lru_cache(maxsize=None)
 def _cover_poset(n: int, rise: MeshPattern) -> FinitePoset:
-    """S_n ordered by the closure of its rise swaps, cached per size."""
+    """S_n ordered by the closure of its rise swaps, cached per size;
+    ValueError beyond n = 7, before n! masks of n! bits are built."""
+    if n > 7:
+        raise ValueError(f"the weak and Bruhat orders are built only up to n = 7, not {n}")
     perms = all_permutations(n)
     index = {p: i for i, p in enumerate(perms)}
     pairs = [(index[p], index[q]) for p in perms for q in _rise_swaps(p, rise)]

@@ -95,6 +95,9 @@ def pf_join(p: ParkingFunction, q: ParkingFunction) -> ParkingFunction:
 
 
 def all_parking_functions(n: int) -> list[tuple[int, ...]]:
+    """ValueError beyond n = 7, where the n^n candidates would exceed 10!."""
+    if n > 7:
+        raise ValueError(f"{n}^{n} parking-function candidates exceed 10!")
     return list(_parking_functions(n))
 
 

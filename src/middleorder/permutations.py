@@ -145,7 +145,10 @@ def all_inversion_sequences(n: int) -> Iterator[InvSeq]:
 
 
 def all_permutations(n: int) -> list[Perm]:
-    """All of S_n, ordered lexicographically by inversion sequence."""
+    """All of S_n, ordered lexicographically by inversion sequence;
+    ValueError beyond n = 10, where n! would exceed 10!."""
+    if n > 10:
+        raise ValueError(f"S_{n} has more than 10! elements to enumerate")
     return [_decode(x) for x in all_inversion_sequences(n)]
 
 

@@ -5,12 +5,13 @@ A FinitePoset stores an indexed list of opaque labels, the cover
 relation (as the transitive reduction of the order), and the full
 reachability relation as per-element bitmasks.  Everything here is
 computed from first principles -- the defining sum for the Moebius
-function, pairwise bound checks for the lattice property, Birkhoff's
-representation for distributivity -- so that the closed-form results
-elsewhere in the package can be checked against it.
+function, meets and joins read off the principal down- and up-sets,
+Birkhoff's representation for distributivity -- so that the closed-form
+results elsewhere in the package can be checked against it.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -61,8 +62,9 @@ class FinitePoset:
             below[j] = mask
         self._below = below
         self._mobius_rows: dict[int, dict[int, int]] = {}
-        self._lub: Optional[list[list[int]]] = None
-        self._glb: Optional[list[list[int]]] = None
+        # mask -> index, inverting _below and _above; built on first use.
+        self._by_below: Optional[dict[int, int]] = None
+        self._by_above: Optional[dict[int, int]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -138,6 +140,17 @@ class FinitePoset:
                 at_least[r] |= at_least[r + 1]
             above = [mask & at_least[rank[v]] for mask, v in zip(above, column)]
         return cls(labels, above)
+
+    def relabeled(self, labels: Sequence[Hashable]) -> "FinitePoset":
+        """This poset with labels[i] as the label of element i.  The masks,
+        covers and order are shared, not recomputed; PosetError for a wrong
+        number of labels or duplicates."""
+        other = copy.copy(self)
+        other.labels = tuple(labels)
+        other._index = {lab: i for i, lab in enumerate(other.labels)}
+        if not len(other.labels) == len(other._index) == self.n:
+            raise PosetError(f"need {self.n} distinct labels")
+        return other
 
     # -- basic queries -------------------------------------------------------
 
@@ -257,42 +270,24 @@ class FinitePoset:
 
     # -- lattice structure -----------------------------------------------------
 
-    def _bound_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        if self._lub is not None and self._glb is not None:
-            return self._lub, self._glb
-        lub = [[-1] * self.n for _ in range(self.n)]
-        glb = [[-1] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(i, self.n):
-                ub = self._above[i] & self._above[j]
-                lub[i][j] = lub[j][i] = self._least(ub)
-                lb = self._below[i] & self._below[j]
-                glb[i][j] = glb[j][i] = self._greatest(lb)
-        self._lub, self._glb = lub, glb
-        return lub, glb
+    def meet(self, i: int, j: int) -> Optional[int]:
+        """The greatest lower bound of i and j, or None.  It exists iff the
+        common down-set is the down-set of some element, which is then the
+        meet (Davey & Priestley, Introduction to Lattices and Order, ch. 2)."""
+        if self._by_below is None:
+            self._by_below = {mask: k for k, mask in enumerate(self._below)}
+        return self._by_below.get(self._below[i] & self._below[j])
 
-    def _least(self, mask: int) -> int:
-        m = mask
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if self._above[u] & mask == mask:
-                return u
-        return -1
-
-    def _greatest(self, mask: int) -> int:
-        m = mask
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if self._below[u] & mask == mask:
-                return u
-        return -1
+    def join(self, i: int, j: int) -> Optional[int]:
+        """The least upper bound of i and j, or None; dual to meet."""
+        if self._by_above is None:
+            self._by_above = {mask: k for k, mask in enumerate(self._above)}
+        return self._by_above.get(self._above[i] & self._above[j])
 
     def is_lattice(self) -> bool:
-        lub, glb = self._bound_tables()
+        """Whether every pair has a meet and a join."""
         return all(
-            lub[i][j] >= 0 and glb[i][j] >= 0
+            self.meet(i, j) is not None and self.join(i, j) is not None
             for i in range(self.n)
             for j in range(i + 1, self.n)
         )
@@ -306,16 +301,16 @@ class FinitePoset:
         violation x <= z with x v (y ^ z) < (x v y) ^ z."""
         if not self.is_lattice():
             raise PosetError("pentagon search requires a lattice")
-        lub, glb = self._bound_tables()
+        meet, join = self.meet, self.join
         for x in range(self.n):
             for z in _bits(self._above[x] & ~(1 << x)):
                 for y in range(self.n):
-                    a = lub[x][glb[y][z]]
-                    b = glb[lub[x][y]][z]
+                    a = join(x, meet(y, z))
+                    b = meet(join(x, y), z)
                     if a == b:
                         continue
-                    bot = glb[y][a]
-                    top = lub[y][b]
+                    bot = meet(y, a)
+                    top = join(y, b)
                     quint = (bot, y, a, b, top)
                     if self._is_n5(quint):
                         return quint
@@ -325,17 +320,16 @@ class FinitePoset:
         bot, y, a, b, top = quint
         if len(set(quint)) != 5:
             return False
-        lub, glb = self._bound_tables()
         return (
             self.leq(bot, y)
             and self.leq(y, top)
             and self.leq(a, b)
-            and glb[y][a] == bot
-            and glb[y][b] == bot
-            and lub[y][a] == top
-            and lub[y][b] == top
-            and lub[a][b] == b
-            and glb[a][b] == a
+            and self.meet(y, a) == bot
+            and self.meet(y, b) == bot
+            and self.join(y, a) == top
+            and self.join(y, b) == top
+            and self.join(a, b) == b
+            and self.meet(a, b) == a
             and not self.leq(y, a)
             and not self.leq(a, y)
         )
@@ -557,31 +551,19 @@ def diamond() -> FinitePoset:
 
 
 def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
+    """Pairs (a, b) ordered componentwise; (a, b) has index i * q.n + j
+    for a, b at indices i, j, so its up-set is q's up-set of b shifted to
+    the block of each c above a."""
     labels = [(a, b) for a in p.labels for b in q.labels]
-    above = []
-    for a in p.labels:
-        ia = p.index_of(a)
-        for b in q.labels:
-            ib = q.index_of(b)
-            mask = 0
-            for k, (c, d) in enumerate(labels):
-                if p.leq(ia, p.index_of(c)) and q.leq(ib, q.index_of(d)):
-                    mask |= 1 << k
-            above.append(mask)
+    above = [sum(q._above[j] << (c * q.n) for c in _bits(p._above[i]))
+             for i in range(p.n) for j in range(q.n)]
     return FinitePoset(labels, above)
 
 
 def chain_product(sizes: Sequence[int]) -> FinitePoset:
     """The product of chains [0, s_1 - 1] x ... x [0, s_k - 1]."""
     labels = list(itertools.product(*(range(s) for s in sizes)))
-    above = []
-    for lab in labels:
-        mask = 0
-        for k, other in enumerate(labels):
-            if all(x <= y for x, y in zip(lab, other)):
-                mask |= 1 << k
-        above.append(mask)
-    return FinitePoset(labels, above)
+    return FinitePoset.from_vectors(labels, labels)
 
 
 # ---------------------------------------------------------------------------

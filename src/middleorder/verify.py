@@ -130,8 +130,9 @@ def is_distributive_by_triples(poset: posets.FinitePoset) -> bool:
     checked on every triple from its join and meet tables: O(n^3)."""
     if not poset.is_lattice():
         return False
-    lub, glb = poset._bound_tables()
     rng = range(poset.n)
+    lub = [[poset.join(s, t) for t in rng] for s in rng]
+    glb = [[poset.meet(s, t) for t in rng] for s in rng]
     for s in rng:
         ls, gs = lub[s], glb[s]
         for t in rng:

@@ -92,6 +92,10 @@ def test_stirling_numbers():
         assert sum(stirling_first_unsigned(n, j) for j in range(n + 1)) == math.factorial(n)
 
 
+def test_stirling_at_large_n_does_not_recurse():
+    assert stirling_first_unsigned(2000, 1) == math.factorial(1999)
+
+
 def test_euler_characteristic_values():
     assert euler_characteristic(identity(6)) == 0
     assert euler_characteristic(long_element(4)) == 3

@@ -94,6 +94,12 @@ def test_regular_subposet_is_boolean(n):
     assert regular_subposet(n).are_isomorphic(boolean_lattice(n - 1))
 
 
+def test_regular_elements_refuse_more_than_ten_factorial():
+    for n in (0, 23):
+        with pytest.raises(ValueError):
+            regular_elements(n)
+
+
 def test_is_regular_examples():
     assert is_regular((3, 2, 1))
     assert is_regular((1, 2, 3))

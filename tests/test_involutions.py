@@ -59,6 +59,14 @@ def test_count_values():
     assert [involution_count(n) for n in range(1, 9)] == [1, 2, 4, 10, 26, 76, 232, 764]
 
 
+def test_long_inputs_do_not_recurse():
+    assert involution_seq_check((0,) * 3000)
+    expected = [1, 1]
+    for m in range(2, 3001):
+        expected.append(expected[m - 1] + (m - 1) * expected[m - 2])
+    assert involution_count(3000) == expected[3000]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_seq_check_matches_brute_force(n):
     for x in all_inversion_sequences(n):

@@ -64,6 +64,14 @@ def test_golden_cover_sets_on_s3():
     assert {(word(a), word(b)) for a, b in bruhat_poset(3).cover_labels()} == BRUHAT_S3
 
 
+def test_weak_and_bruhat_refuse_n_above_seven():
+    v, w = identity(8), long_element(8)
+    for call in (lambda: weak_leq(v, w), lambda: bruhat_leq(v, w),
+                 lambda: weak_poset(8), lambda: bruhat_poset(8)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_specific_comparabilities():
     assert middle_leq((1, 3, 2), (3, 1, 2))
     assert not middle_leq((3, 1, 2), (1, 3, 2))

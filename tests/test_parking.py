@@ -56,6 +56,10 @@ def test_validation():
         validate_parking_function([])
     with pytest.raises(ValueError):
         all_parking_functions(0)
+    with pytest.raises(ValueError):
+        all_parking_functions(8)  # 8^8 candidates exceed 10!
+    with pytest.raises(ValueError):
+        parking_poset(8)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

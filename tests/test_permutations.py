@@ -106,6 +106,11 @@ def test_validation_rejects_garbage():
         from_inversion_sequence((0, 1.0))
 
 
+def test_enumeration_refuses_more_than_ten_factorial():
+    with pytest.raises(ValueError):
+        all_permutations(11)
+
+
 def test_enumeration_order_is_invseq_lex():
     seqs = list(all_inversion_sequences(3))
     assert seqs == [(0, 0, 0), (0, 0, 1), (0, 0, 2),

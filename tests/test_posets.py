@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from functools import lru_cache
 
@@ -21,6 +23,8 @@ from middleorder.posets import (
     product,
 )
 from middleorder.verify import is_distributive_by_triples
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "middleorder"
 
 
 def divisor_poset(numbers):
@@ -101,6 +105,28 @@ def test_constructor_matches_brute_force_on_shuffled_dags(data):
         rank = {i: k for k, i in enumerate(q._order)}
         assert sorted(q._order) == list(range(n))
         assert all(rank[i] < rank[j] for i, j in covers)
+
+
+def test_relabeled_shares_the_order():
+    p = boolean_lattice(3)
+    q = p.relabeled(["".join(map(str, lab)) or "e" for lab in p.labels])
+    assert q.labels[-1] == "012" and q.index_of("e") == 0
+    assert q._above is p._above and q.covers is p.covers
+    assert q.leq_labels("e", "012") and p.labels[0] == ()
+    with pytest.raises(PosetError):
+        p.relabeled(range(p.n - 1))
+    with pytest.raises(PosetError):
+        p.relabeled([0] * p.n)
+
+
+def test_only_posets_touches_the_bound_internals():
+    # Bounds are read through FinitePoset.meet/join, never from tables.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "posets.py":
+            continue
+        names = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+        assert "_bound_tables" not in names, path.name
 
 
 def test_reduction_drops_implied_edges():
@@ -222,10 +248,60 @@ def test_distributive_recognition():
     assert not diamond().is_distributive()
 
 
+def _brute_bound(p, i, j, leq):
+    """The bound of i and j that every other common bound is leq-related to."""
+    common = [k for k in range(p.n) if leq(i, k) and leq(j, k)]
+    best = [k for k in common if all(leq(k, m) for m in common)]
+    return best[0] if best else None
+
+
+@given(st.data())
+def test_meet_and_join_match_brute_force_bounds(data):
+    n = data.draw(st.integers(min_value=0, max_value=12))
+    position = data.draw(st.permutations(range(n)))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * n)) if n else []
+    pairs = [(a, b) for a, b in edges if position[a] < position[b]]
+    p = FinitePoset.from_covers(range(n), pairs)
+    implied = [(i, j) for i, j in p.enumerate_intervals() if i != j]
+    extra = data.draw(st.lists(st.sampled_from(implied))) if implied else []
+    p = FinitePoset.from_covers(range(n), pairs + extra)
+    for i in range(n):
+        for j in range(n):
+            assert p.join(i, j) == _brute_bound(p, i, j, p.leq)
+            assert p.meet(i, j) == _brute_bound(p, i, j, lambda a, b: p.leq(b, a))
+
+
+def test_meet_and_join_on_the_pentagon():
+    p = pentagon()
+    bot, a, b, c, top = range(5)
+    assert p.meet(b, c) == bot and p.join(a, c) == top
+    assert p.meet(a, b) == a and p.join(a, b) == b
+    two_tops = FinitePoset.from_covers([0, 1, 2], [(0, 1), (0, 2)])
+    assert two_tops.join(1, 2) is None and two_tops.meet(1, 2) == 0
+
+
+def _is_n5(p, quint):
+    """Five distinct elements bot < y < top, bot < a < b < top with y
+    incomparable to a and b, closed under meet and join."""
+    bot, y, a, b, top = quint
+    if len(set(quint)) != 5:
+        return False
+    chains = all(p.leq(s, t) for s, t in ((bot, y), (y, top), (bot, a), (a, b), (b, top)))
+    apart = not any(p.leq(s, t) or p.leq(t, s) for s, t in ((y, a), (y, b)))
+    return chains and apart and all(
+        p.meet(y, s) == bot and p.join(y, s) == top for s in (a, b)
+    )
+
+
 def test_sublattice_witnesses():
-    assert pentagon().find_pentagon() is not None
+    for p in (pentagon(), parking_poset(3), parking_poset(4)):
+        quint = p.find_pentagon()
+        assert quint is not None and _is_n5(p, quint)
     assert diamond().find_pentagon() is None
     assert boolean_lattice(3).find_pentagon() is None
+    with pytest.raises(PosetError):
+        antichain(2).find_pentagon()
 
 
 STOCK_POSETS = [
@@ -243,6 +319,12 @@ STOCK_POSETS = [
     antichain(1),
     antichain(2),
 ]
+# Only involution_poset(4) and the two-element antichain are not lattices.
+STOCK_IS_LATTICE = [True] * 9 + [False, True, True, False]
+
+
+def test_lattice_verdicts_on_stock_posets():
+    assert [p.is_lattice() for p in STOCK_POSETS] == STOCK_IS_LATTICE
 
 
 def test_distributivity_checkers_agree():
