@@ -551,19 +551,25 @@ def diamond() -> FinitePoset:
 
 
 def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """Pairs (a, b) ordered componentwise; (a, b) has index i * q.n + j
-    for a, b at indices i, j, so its up-set is q's up-set of b shifted to
-    the block of each c above a."""
     labels = [(a, b) for a in p.labels for b in q.labels]
-    above = [sum(q._above[j] << (c * q.n) for c in _bits(p._above[i]))
-             for i in range(p.n) for j in range(q.n)]
+    above = []
+    for a in p.labels:
+        ia = p.index_of(a)
+        for b in q.labels:
+            ib = q.index_of(b)
+            mask = 0
+            for k, (c, d) in enumerate(labels):
+                if p.leq(ia, p.index_of(c)) and q.leq(ib, q.index_of(d)):
+                    mask |= 1 << k
+            above.append(mask)
     return FinitePoset(labels, above)
 
 
 def chain_product(sizes: Sequence[int]) -> FinitePoset:
-    """The product of chains [0, s_1 - 1] x ... x [0, s_k - 1]."""
+    """The product of chains [0, s_1 - 1] x ... x [0, s_k - 1], compared
+    pair by pair (not through from_vectors, which middle_poset uses)."""
     labels = list(itertools.product(*(range(s) for s in sizes)))
-    return FinitePoset.from_vectors(labels, labels)
+    return FinitePoset.from_leq(labels, lambda a, b: all(x <= y for x, y in zip(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,14 @@ def test_from_vectors_rejects_bad_vectors():
     assert far.leq(0, 1) and not far.leq(1, 0)
 
 
+def test_chain_product_is_componentwise():
+    p = chain_product((2, 3, 2))
+    assert len(p.labels) == 12
+    for a in p.labels:
+        for b in p.labels:
+            assert p.leq_labels(a, b) == all(x <= y for x, y in zip(a, b))
+
+
 # -- isomorphism ------------------------------------------------------------------------
 
 
