@@ -7,6 +7,7 @@ All counts are exact.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -31,20 +32,20 @@ def interval_count_total(n: int) -> int:
 def intervals_by_rank(n: int) -> tuple[int, ...]:
     """Row (f(n,0), ..., f(n, C(n,2))) of interval counts by rank.
 
-    f(1,0) = 1 and f(n,k) = sum_{h=0}^{n-1} (n-h) f(n-1, k-h).
+    f(1,0) = 1 and f(n,k) = sum_{h=0}^{n-1} (n-h) f(n-1, k-h).  With
+    i = k - h that is the window sum over i of (n - k) f(n-1, i) + i f(n-1, i),
+    so two prefix sums give each entry in O(1).
     """
     _check_n(n)
     if n == 1:
         return (1,)
     prev = intervals_by_rank(n - 1)
-    width = math.comb(n, 2) + 1
+    plain = [0, *itertools.accumulate(prev)]
+    weighted = [0, *itertools.accumulate(i * v for i, v in enumerate(prev))]
     row = []
-    for k in range(width):
-        total = 0
-        for h in range(n):
-            if 0 <= k - h < len(prev):
-                total += (n - h) * prev[k - h]
-        row.append(total)
+    for k in range(math.comb(n, 2) + 1):
+        lo, hi = max(0, k - n + 1), min(k + 1, len(prev))
+        row.append((n - k) * (plain[hi] - plain[lo]) + weighted[hi] - weighted[lo])
     return tuple(row)
 
 
@@ -102,24 +103,30 @@ def boolean_interval_total(n: int) -> int:
     return value
 
 
-# Rows (c(n, 0), ..., c(n, n)) computed so far, by n.
+# Leading columns (c(n, 0), ..., c(n, w - 1)) of the rows computed so far, by n.
 _STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
 
 
 def stirling_first_unsigned(n: int, j: int) -> int:
-    """c(n, j): permutations of size n with j cycles.  Row n is built, then
-    memoised, from the nearest memoised row below it by
-    c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)."""
+    """c(n, j): permutations of size n with j cycles."""
     if n < 0 or j < 0:
         raise ValueError("need n >= 0 and j >= 0")
-    row = _STIRLING_ROWS.get(n)
-    if row is None:
-        start = max(m for m in _STIRLING_ROWS if m < n)
-        row = _STIRLING_ROWS[start]
+    return _stirling_columns(n, j + 1)[j] if j <= n else 0
+
+
+def _stirling_columns(n: int, width: int) -> tuple[int, ...]:
+    """At least the columns c(n, 0), ..., c(n, width - 1), width <= n + 1.
+    They are built, then memoised, from the nearest memoised row below n
+    that holds them, by c(m, k) = c(m-1, k-1) + (m-1) c(m-1, k), which
+    needs no column beyond k."""
+    row = _STIRLING_ROWS.get(n, ())
+    if len(row) < width:
+        start = max(m for m, r in _STIRLING_ROWS.items() if m < n and len(r) >= min(width, m + 1))
+        row = _STIRLING_ROWS[start][:width]
         for m in range(start + 1, n + 1):
-            row = tuple(a + (m - 1) * b for a, b in zip((0,) + row, row + (0,)))
+            row = tuple(a + (m - 1) * b for a, b in zip((0,) + row, row + (0,)))[:width]
         _STIRLING_ROWS[n] = row
-    return row[j] if j <= n else 0
+    return row
 
 
 def boolean_by_rank(n: int) -> tuple[int, ...]:
@@ -128,7 +135,7 @@ def boolean_by_rank(n: int) -> tuple[int, ...]:
     Computed by the closed formula b(n,k) = sum_i C(i,k) c(n,n-i).
     """
     _check_n(n)
-    c = [stirling_first_unsigned(n, n - i) for i in range(n + 1)]
+    c = _stirling_columns(n, n + 1)[::-1]  # c[i] = c(n, n - i)
     return tuple(sum(math.comb(i, k) * c[i] for i in range(n + 1)) for k in range(n))
 
 
@@ -160,15 +167,9 @@ def table_rows(kind: str, n: int) -> list[tuple[int, tuple[int, ...]]]:
     if kind == "boolean":
         return [(m, boolean_by_rank(m)) for m in range(1, n + 1)]
     if kind == "euler":
-        return [
-            (m, tuple(stirling_first_unsigned(m, m - k) for k in range(m)))
-            for m in range(1, n + 1)
-        ]
+        return [(m, _stirling_columns(m, m + 1)[:0:-1]) for m in range(1, n + 1)]
     if kind == "stirling":
-        return [
-            (m, tuple(stirling_first_unsigned(m, j) for j in range(m + 1)))
-            for m in range(1, n + 1)
-        ]
+        return [(m, _stirling_columns(m, m + 1)) for m in range(1, n + 1)]
     raise ValueError(f"unknown table kind {kind!r}")
 
 

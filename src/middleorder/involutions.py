@@ -120,22 +120,24 @@ def clusters(coords: InvSeq) -> list[tuple[int, int]]:
     """Maximal index intervals [a, b] (1-based) with y_{a+j} >= j.
 
     Maximality means neither [a-1, b] nor [a, b+1] has the property.
-    The clusters are pairwise incomparable and cover [1, n].
+    [a, b] has it iff i - y_i <= a for every i in [a, b], so the right
+    end r(a) of the longest such interval from a never decreases as a
+    grows.  One forward scan finds every r(a), and [a, r(a)] is a
+    cluster exactly when a = 1 or r(a-1) < r(a).  The clusters are
+    pairwise incomparable and cover [1, n].
     """
     y = validate_inversion_sequence(coords)
     n = len(y)
-
-    def holds(a: int, b: int) -> bool:
-        if a < 1 or b > n:
-            return False
-        return all(y[a + j - 1] >= j for j in range(b - a + 1))
-
-    found = set()
+    found = []
+    end = 0  # r(a - 1), or 0 before the first step
     for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            if holds(a, b) and not holds(a - 1, b) and not holds(a, b + 1):
-                found.add((a, b))
-    return sorted(found)
+        reach = max(end, a)
+        while reach < n and reach + 1 - y[reach] <= a:
+            reach += 1
+        if reach > end:
+            found.append((a, reach))
+        end = reach
+    return found
 
 
 def maximal_slow_climbing_below(w: Perm) -> list[Perm]:

@@ -95,17 +95,41 @@ def pf_join(p: ParkingFunction, q: ParkingFunction) -> ParkingFunction:
 
 
 def all_parking_functions(n: int) -> list[tuple[int, ...]]:
-    """ValueError beyond n = 7, where the n^n candidates would exceed 10!."""
+    """ValueError beyond n = 7: at n = 8 there are 9^7 parking functions,
+    more than 10!."""
     if n > 7:
-        raise ValueError(f"{n}^{n} parking-function candidates exceed 10!")
+        raise ValueError(f"the {n + 1}^{n - 1} parking functions of size {n} exceed 10!")
     return list(_parking_functions(n))
 
 
 def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
-    """The parking functions of size n, lazily, in lexicographic order."""
+    """The parking functions of size n, lazily, in lexicographic order.
+
+    A prefix with c_j entries <= j and r entries still to place extends
+    to a parking function iff j - c_j <= r for every j; its next entry
+    may then be any v from 1 up to the first j with j - c_j = r (there is
+    one: j = n).  So the tree of prefixes is walked depth first with no
+    dead node, and the last entry of each leaf is emitted as a range.
+    """
     if n < 1:
         raise ValueError("parking functions of size 0 are not supported")
-    return filter(_parks, itertools.product(range(1, n + 1), repeat=n))
+    return itertools.chain.from_iterable(_completions(n))
+
+
+def _completions(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """For each extensible prefix of length n - 1, in lexicographic order,
+    the list of its completions.  slack[j - 1] is r - (j - c_j) >= 0;
+    appending v lowers it by one for j < v and keeps it for j >= v."""
+    stack = [((), tuple(range(n - 1, -1, -1)))]
+    while stack:
+        prefix, slack = stack.pop()
+        last = slack.index(0) + 1
+        if len(prefix) == n - 1:
+            yield [prefix + (v,) for v in range(1, last + 1)]
+            continue
+        lowered = tuple(s - 1 for s in slack)
+        for v in range(last, 0, -1):
+            stack.append((prefix + (v,), lowered[:v - 1] + slack[v - 1:]))
 
 
 def parking_poset(n: int) -> FinitePoset:

@@ -32,28 +32,15 @@ class FinitePoset:
         if len(self._index) != self.n:
             raise PosetError("duplicate labels")
         self._above = above
-        # Covers: sweep the strict up-set of i by increasing index; each
-        # visited j strikes out everything strictly above it.  A strict
-        # upper bound of i is struck by a cover below it, and a cover is
-        # never struck, so the survivors are the covers in any index
-        # order.  The sweep visits only covers when the indices follow a
-        # linear extension, as they do for every poset this package
-        # builds; otherwise it may visit each element of the up-set.
+        # Strictly larger up-sets come first: a topological order.
+        self._order = sorted(range(self.n), key=lambda i: -above[i].bit_count())
         lower: list[list[int]] = [[] for _ in range(self.n)]
         covers = []
-        for i, mask in enumerate(above):
-            keep = rest = mask & ~(1 << i)
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                keep &= ~above[j] | low
-                rest = keep >> (j + 1) << (j + 1)
+        for i, keep in enumerate(_upper_cover_masks(above, self._order)):
             for j in _bits(keep):
                 lower[j].append(i)
                 covers.append((i, j))
         self._covers = frozenset(covers)
-        # Strictly larger up-sets come first: a topological order.
-        self._order = sorted(range(self.n), key=lambda i: -above[i].bit_count())
         below = [0] * self.n
         for j in self._order:
             mask = 1 << j
@@ -641,6 +628,55 @@ def _topological_order(
     if len(order) != n:
         raise PosetError("cover relation contains a cycle")
     return order, succ
+
+
+def _upper_cover_masks(above: list[int], order: list[int]) -> list[int]:
+    """The mask of upper covers of each element, in index order.
+
+    Strike-out sweep: visit the survivors of the strict up-set of i, and
+    let each visited j strike out everything strictly above it.  A strict
+    upper bound of i is struck by a cover below it, and a cover is never
+    struck, so the survivors are the covers in any visiting order.  Only
+    covers are visited when the order is a linear extension.  The sweep
+    goes by increasing index, a linear extension for every poset this
+    package builds.  An up-set holding a smaller index shows that the
+    indices are not one; the sweep then starts over in the topological
+    order.
+    """
+    out = []
+    for i, mask in enumerate(above):
+        keep = rest = mask & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if j < i:
+                return _upper_cover_masks_in_blocks(above, order)
+            keep &= ~above[j] | low
+            rest = keep >> (j + 1) << (j + 1)
+        out.append(keep)
+    return out
+
+
+def _upper_cover_masks_in_blocks(above: list[int], order: list[int]) -> list[int]:
+    """The strike-out sweep in the topological order: the strict up-set
+    is cut into blocks of 64 consecutive positions, and the survivors in
+    a block are visited by position.  Relabelling every mask into the
+    topological order would cost one step per comparable pair."""
+    position = [0] * len(order)
+    for p, i in enumerate(order):
+        position[i] = p
+    blocks = [sum(1 << j for j in order[start:start + 64]) for start in range(0, len(order), 64)]
+    out = []
+    for i, mask in enumerate(above):
+        keep = mask & ~(1 << i)
+        for block in blocks[position[i] // 64:]:
+            rest = keep & block
+            if rest:
+                for j in sorted(_bits(rest), key=position.__getitem__):
+                    if keep >> j & 1:
+                        keep &= ~above[j] | (1 << j)
+        out.append(keep)
+    return out
 
 
 def _bits(mask: int) -> list[int]:

@@ -4,9 +4,10 @@ package against brute force, and the independent oracles they use.
 
 The oracles re-derive a fact by a second route (the definitional
 inversion count, the boolean-count recursion, the car-parking
-simulation, the listing construction of pseudocomplements, both
-distributive laws checked on every triple, ...); the library never
-calls them, so a suite compares two implementations that share no code.
+simulation, the listing construction of pseudocomplements, the
+definitional cluster scan, both distributive laws checked on every
+triple, ...); the library never calls them, so a suite compares two
+implementations that share no code.
 
 Each suite returns a list of CheckResult records; a suite passes when
 every record does.  Failures carry a counterexample in the detail
@@ -123,6 +124,25 @@ def parking_simulation(prefs: Sequence[int]) -> bool:
             return False
         occupied[spot] = True
     return True
+
+
+def clusters_by_definition(y: Sequence[int]) -> list[tuple[int, int]]:
+    """The clusters of y from their definition: every interval [a, b]
+    with y_{a+j} >= j that extends neither left nor right, each tested
+    by an O(n) scan, so O(n^3) in all."""
+    n = len(y)
+
+    def holds(a: int, b: int) -> bool:
+        if a < 1 or b > n:
+            return False
+        return all(y[a + j - 1] >= j for j in range(b - a + 1))
+
+    found = set()
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            if holds(a, b) and not holds(a - 1, b) and not holds(a, b + 1):
+                found.add((a, b))
+    return sorted(found)
 
 
 def is_distributive_by_triples(poset: posets.FinitePoset) -> bool:
@@ -498,6 +518,14 @@ def suite_involutions(n_max: int = 8) -> list[CheckResult]:
                 break
         out.append(_check(f"meets of slow-climbers stay slow-climbing n={n}",
                           bad is None, f"{bad}"))
+    for n in range(1, min(n_max, 6) + 1):
+        bad = next(
+            (x for x in all_inversion_sequences(n)
+             if involutions.clusters(x) != clusters_by_definition(x)),
+            None,
+        )
+        out.append(_check(f"one-pass clusters match the definition n={n}",
+                          bad is None, f"{bad}"))
     for n in range(1, min(n_max, 7) + 1):
         bad = None
         for x in all_inversion_sequences(n):
@@ -685,12 +713,24 @@ def suite_parking(n_max: int = 7) -> list[CheckResult]:
     out = []
     for n in range(1, min(n_max, 5) + 1):
         bad = None
+        parked = []
         for p in itertools.product(range(1, n + 1), repeat=n):
-            if parking.is_parking_function(p) != parking_simulation(p):
+            parks = parking_simulation(p)
+            if parking.is_parking_function(p) != parks:
                 bad = p
                 break
+            if parks:
+                parked.append(p)
         out.append(_check(f"sorted criterion matches car simulation n={n}",
                           bad is None, f"{bad}"))
+        first_diff = next(
+            (pair for pair in itertools.zip_longest(parking._parking_functions(n), parked)
+             if pair[0] != pair[1]),
+            None,
+        )
+        out.append(_check(f"generator yields the parking candidates in order n={n}",
+                          bad is None and first_diff is None,
+                          f"(generated, parked)={first_diff}"))
     for n in range(1, min(n_max, 5) + 1):
         bad = None
         for p in parking.all_parking_functions(n):

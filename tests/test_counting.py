@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from middleorder import counting
 from middleorder.counting import (
     boolean_by_rank,
     boolean_interval_total,
@@ -63,7 +64,7 @@ def test_covering_relation_identity(n):
     assert covering_relation_count(n) == intervals_by_rank(n)[1]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 51))
 def test_polynomial_row_reverses_interval_row(n):
     assert tuple(reversed(polynomial_row(n))) == intervals_by_rank(n)
 
@@ -94,6 +95,16 @@ def test_stirling_numbers():
 
 def test_stirling_at_large_n_does_not_recurse():
     assert stirling_first_unsigned(2000, 1) == math.factorial(1999)
+
+
+def test_stirling_keeps_only_the_columns_asked_for():
+    assert stirling_first_unsigned(1500, 1) == math.factorial(1499)
+    assert len(counting._STIRLING_ROWS[1500]) == 2
+    # Row 1600 is built from the truncated row 1500; c(n, 2) = (n-1)! H_{n-1}
+    # needs a wider row, and a full row still sums to n!.
+    assert stirling_first_unsigned(1600, 1) == math.factorial(1599)
+    assert stirling_first_unsigned(1600, 2) == sum(math.factorial(1599) // k for k in range(1, 1600))
+    assert sum(stirling_first_unsigned(60, j) for j in range(61)) == math.factorial(60)
 
 
 def test_euler_characteristic_values():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from middleorder import involutions, permutations
 from middleorder.involutions import (
@@ -21,6 +22,7 @@ from middleorder.permutations import (
     inversion_sequence,
     is_involution,
 )
+from middleorder.verify import clusters_by_definition
 
 # cover pairs of the involution subposet for n = 4, written as words
 I4_EDGES = {
@@ -106,6 +108,18 @@ def test_clusters():
     assert clusters((0, 1, 0, 1)) == [(1, 2), (3, 4)]
     # overlapping clusters are possible
     assert clusters((0, 1, 1, 0)) == [(1, 2), (2, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_clusters_match_the_definition(n):
+    for x in all_inversion_sequences(n):
+        assert clusters(x) == clusters_by_definition(x)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(*(st.integers(0, i) for i in range(n)))))
+def test_clusters_match_the_definition_on_long_sequences(x):
+    assert clusters(x) == clusters_by_definition(x)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

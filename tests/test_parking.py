@@ -57,12 +57,12 @@ def test_validation():
     with pytest.raises(ValueError):
         all_parking_functions(0)
     with pytest.raises(ValueError):
-        all_parking_functions(8)  # 8^8 candidates exceed 10!
+        all_parking_functions(8)  # its 9^7 parking functions exceed 10!
     with pytest.raises(ValueError):
         parking_poset(8)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_filters_like_the_predicate(n):
     every = itertools.product(range(1, n + 1), repeat=n)
     assert all_parking_functions(n) == [p for p in every if is_parking_function(p)]
@@ -82,6 +82,7 @@ def test_order_operations():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_meet_join_are_actual_bounds(n):
     pfs = all_parking_functions(n) + [TOP]
+    ups = {p: {u for u in pfs if pf_leq(p, u)} for p in pfs}
     for p in pfs:
         for q in pfs:
             m, j = pf_meet(p, q), pf_join(p, q)
@@ -90,9 +91,7 @@ def test_meet_join_are_actual_bounds(n):
             if m is not TOP:
                 assert is_parking_function(m) or m is TOP
             # the join is least: any common upper bound dominates it
-            for u in pfs:
-                if pf_leq(p, u) and pf_leq(q, u):
-                    assert pf_leq(j, u)
+            assert ups[p] & ups[q] <= ups[j]
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -213,6 +213,31 @@ def test_mobius_on_a_long_chain_with_reversed_indices():
     assert c.mobius(0, 2999) == 0
 
 
+def test_covers_of_a_long_chain_with_reversed_indices():
+    # Every up-set holds smaller indices, so the cover sweep cannot go by index.
+    c = FinitePoset.from_covers(range(3000), [(i + 1, i) for i in range(2999)])
+    assert c.covers == {(i + 1, i) for i in range(2999)}
+    assert c._order == list(range(2999, -1, -1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_covers_survive_shuffled_indices_across_blocks(seed):
+    # 120 elements span two blocks of the topological sweep.
+    p = FinitePoset.from_vectors(all_permutations(5), [w[::-1] for w in all_permutations(5)])
+    new_index = list(range(p.n))
+    random.Random(seed).shuffle(new_index)
+    above = [0] * p.n
+    for i, mask in enumerate(p._above):
+        above[new_index[i]] = sum(1 << new_index[j] for j in range(p.n) if mask >> j & 1)
+    labels = [None] * p.n
+    for i, label in enumerate(p.labels):
+        labels[new_index[i]] = label
+    q = FinitePoset(labels, above)
+    assert q.cover_labels() == p.cover_labels()
+    rank = {i: k for k, i in enumerate(q._order)}
+    assert all(rank[i] < rank[j] for i, j in q.covers)
+
+
 # -- gradedness ---------------------------------------------------------------------
 
 
