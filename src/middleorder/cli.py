@@ -6,9 +6,13 @@ parse errors.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import click
 
-from . import counting, heyting, involutions, orders, parking, verify
+# Commands import the modules they run at the point of use, so that one
+# query compiles only what it needs; counting.TABLE_KINDS feeds a Choice.
+from . import counting
 from .permutations import (
     format_inversion_sequence,
     format_permutation,
@@ -17,7 +21,9 @@ from .permutations import (
     parse_inversion_sequence,
     parse_permutation,
 )
-from .posets import FinitePoset
+
+if TYPE_CHECKING:
+    from .posets import FinitePoset
 
 DIAGRAM_LIMIT = 5
 # Largest --limit: parking_poset(6), 16,808 elements, prints in ~2 s at ~130 MB.
@@ -67,21 +73,35 @@ ORDERS = ("middle", "bruhat", "weak", "involutions", "regular", "parking")
 
 def _build_poset(order: str, n: int) -> FinitePoset:
     if order == "middle":
-        return orders.middle_poset(n)
+        from .orders import middle_poset
+
+        return middle_poset(n)
     if order == "bruhat":
-        return orders.bruhat_poset(n)
+        from .orders import bruhat_poset
+
+        return bruhat_poset(n)
     if order == "weak":
-        return orders.weak_poset(n)
+        from .orders import weak_poset
+
+        return weak_poset(n)
     if order == "involutions":
-        return involutions.involution_poset(n)
+        from .involutions import involution_poset
+
+        return involution_poset(n)
     if order == "regular":
-        return heyting.regular_subposet(n)
-    return parking.parking_poset(n)
+        from .heyting import regular_subposet
+
+        return regular_subposet(n)
+    from .parking import parking_poset
+
+    return parking_poset(n)
 
 
 def _node_text(label, order: str, style: str) -> str:
     if order == "parking":
-        return parking.format_parking(label)
+        from .parking import format_parking
+
+        return format_parking(label)
     if style == "invseq":
         return format_inversion_sequence(inversion_sequence(label))
     return format_permutation(label)
@@ -153,20 +173,28 @@ def _evaluate(tokens: list[str]) -> str:
     words = [parse_permutation(a) for a in args]
     if op == "invseq":
         return format_inversion_sequence(inversion_sequence(words[0]))
+    if op == "euler":
+        return str(counting.euler_characteristic(words[0]))
+    if op == "mobius-inv":
+        from .involutions import mobius_involution_ideal
+
+        return str(mobius_involution_ideal(words[0]))
+    if op == "heyting":
+        from .heyting import relative_pseudocomplement
+
+        return format_permutation(relative_pseudocomplement(*words))
+    if op == "pseudo":
+        from .heyting import pseudocomplement
+
+        return format_permutation(pseudocomplement(words[0]))
+    from . import orders
+
     if op == "meet":
         return format_permutation(orders.meet(*words))
     if op == "join":
         return format_permutation(orders.join(*words))
     if op == "mobius":
         return str(orders.mobius_middle(*words))
-    if op == "mobius-inv":
-        return str(involutions.mobius_involution_ideal(words[0]))
-    if op == "heyting":
-        return format_permutation(heyting.relative_pseudocomplement(*words))
-    if op == "pseudo":
-        return format_permutation(heyting.pseudocomplement(words[0]))
-    if op == "euler":
-        return str(counting.euler_characteristic(words[0]))
     return "\n".join(format_permutation(w) for w in orders.upper_covers(words[0]))
 
 
@@ -175,17 +203,20 @@ def _evaluate(tokens: list[str]) -> str:
 
 
 @main.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(tuple(verify.SUITES) + ("all",)),
-    default="all",
-    show_default=True,
-)
-@click.option("--n-max", "n_max", type=int, default=None,
+@click.option("--suite", metavar="NAME", default="all", show_default=True,
+              help="A suite name, or all; an unknown name lists the suites.")
+@click.option("--n-max", "n_max", type=click.IntRange(min=1), default=None,
               help="Run each check only up to this size.")
 @click.pass_context
 def cmd_verify(ctx: click.Context, suite: str, n_max: int | None) -> None:
     """Run a verification suite; exit 1 if any check fails."""
+    from . import verify
+
+    names = (*verify.SUITES, "all")
+    if suite not in names:
+        raise click.BadParameter(
+            f"{suite!r} is not one of {', '.join(map(repr, names))}.", param_hint="'--suite'"
+        )
     results = verify.run_suite(suite, n_max)
     failures = 0
     for result in results:

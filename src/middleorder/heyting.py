@@ -9,6 +9,8 @@ boolean algebra of rank n-1.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .orders import middle_subposet
 from .permutations import (
     Perm,
@@ -16,7 +18,9 @@ from .permutations import (
     inversion_pair,
     inversion_sequence,
 )
-from .posets import FinitePoset
+
+if TYPE_CHECKING:
+    from .posets import FinitePoset
 
 
 def relative_pseudocomplement(v: Perm, w: Perm) -> Perm:

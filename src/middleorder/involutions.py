@@ -10,6 +10,7 @@ for slow-climbing involutions and 0 otherwise.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .orders import _codes_leq, middle_subposet
 from .permutations import (
@@ -20,7 +21,9 @@ from .permutations import (
     validate_inversion_sequence,
     validate_permutation,
 )
-from .posets import FinitePoset
+
+if TYPE_CHECKING:
+    from .posets import FinitePoset
 
 
 def involution_seq_check(coords: InvSeq) -> bool:

@@ -12,7 +12,7 @@ size; middle-order posets are built from the coordinates directly.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .permutations import (
     InvSeq,
@@ -26,7 +26,9 @@ from .permutations import (
     validate_pair,
     validate_permutation,
 )
-from .posets import FinitePoset
+
+if TYPE_CHECKING:
+    from .posets import FinitePoset
 
 # ---------------------------------------------------------------------------
 # Covers as swaps of a shaded rise
@@ -217,6 +219,8 @@ def middle_subposet(perms: Iterable[Perm]) -> FinitePoset:
     """The permutations perms (all of one size) under the induced middle
     order: the componentwise order of their inversion sequences, each
     label encoded once."""
+    from .posets import FinitePoset
+
     perms = tuple(perms)
     return FinitePoset.from_vectors(perms, [inversion_sequence(p) for p in perms])
 
@@ -239,6 +243,8 @@ def _cover_poset(n: int, rise: MeshPattern) -> FinitePoset:
     ValueError beyond n = 7, before n! masks of n! bits are built."""
     if n > 7:
         raise ValueError(f"the weak and Bruhat orders are built only up to n = 7, not {n}")
+    from .posets import FinitePoset
+
     perms = all_permutations(n)
     index = {p: i for i, p in enumerate(perms)}
     pairs = [(index[p], index[q]) for p in perms for q in _rise_swaps(p, rise)]

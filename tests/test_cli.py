@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from middleorder import verify
 from middleorder.cli import main
 from middleorder.posets import FinitePoset
 
@@ -154,3 +155,12 @@ def test_verify_reports_each_check(runner):
     result = invoke(runner, "verify", "--suite", "tables", "--n-max", "3")
     assert result.exit_code == 0
     assert "checks passed" in result.output.splitlines()[-1]
+
+
+def test_verify_rejects_what_it_cannot_run(runner):
+    assert invoke(runner, "verify", "--n-max", "0").exit_code == 2
+    assert invoke(runner, "verify", "--n-max", "-3").exit_code == 2
+    bogus = invoke(runner, "verify", "--suite", "bogus")
+    assert bogus.exit_code == 2
+    assert all(repr(name) in bogus.output for name in (*verify.SUITES, "all"))
+    assert invoke(runner, "verify", "--help").exit_code == 0

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import middleorder
-from middleorder import verify
+from middleorder import involutions, verify
 
 PACKAGE = Path(middleorder.__file__).resolve().parent
 
@@ -16,7 +18,9 @@ N_MAX = 4
 
 CHILD = """
 import json, sys
-from middleorder import verify
+import pytest
+
+from middleorder import involutions, verify
 results = {s: verify.run_suite(s, int(sys.argv[2])) for s in sys.argv[1].split(",")}
 print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
 """
@@ -61,3 +65,21 @@ def test_library_does_not_import_its_oracles():
                 if "verify" in parts:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_run_suite_rejects_n_max_below_one():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max"):
+            verify.run_suite("bijection", n_max)
+
+
+def test_involution_test_check_catches_one_flipped_answer(monkeypatch):
+    flipped = (0, 1, 0, 2)
+    honest = involutions.involution_seq_check
+    monkeypatch.setattr(
+        involutions, "involution_seq_check", lambda x: honest(x) != (tuple(x) == flipped)
+    )
+    failed = [r for r in verify.suite_involutions(4) if not r.ok]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("inversion-sequence involution test n=4", f"x={flipped}")
+    ]
