@@ -70,9 +70,12 @@ def all_involutions(n: int) -> tuple[Perm, ...]:
     Generated size by size as i(m) = i(m-1) + (m-1) i(m-2): m is either
     a fixed point added to an involution of size m-1, or paired with some
     j < m, the other m-2 values carrying an involution of size m-2.
+    ValueError beyond n = 14, where i(n) would exceed 10!.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
+    if n > 14:
+        raise ValueError(f"the {involution_count(n)} involutions of size {n} exceed 10!")
     before, current = [()], [(1,)]
     for m in range(2, n + 1):
         paired = [_pair_with_top(u, j, m) for j in range(1, m) for u in before]

@@ -17,6 +17,8 @@ import re
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 ISO_SIZE_LIMIT = 64
+# The builders refuse more elements: n elements take n^2 bits of masks.
+POSET_SIZE_LIMIT = 1 << 16
 
 
 class PosetError(ValueError):
@@ -60,7 +62,7 @@ class FinitePoset:
         cls, labels: Sequence[Hashable], cover_pairs: Iterable[tuple[int, int]]
     ) -> "FinitePoset":
         """Build from cover index pairs (lower, upper); rejects cycles."""
-        labels = tuple(labels)
+        labels = _within_size_limit(labels)
         n = len(labels)
         order, succ = _topological_order(n, cover_pairs)
         above = [0] * n
@@ -78,7 +80,7 @@ class FinitePoset:
         leq: Callable[[Hashable, Hashable], bool],
     ) -> "FinitePoset":
         """Build from a comparison callable; verifies it is a partial order."""
-        labels = tuple(labels)
+        labels = _within_size_limit(labels)
         n = len(labels)
         above = [0] * n
         for i in range(n):
@@ -110,7 +112,7 @@ class FinitePoset:
         from threshold bitsets over the ranks of the values in column i.
         Raises PosetError unless the vectors, one per label, have one
         length and are distinct."""
-        labels = tuple(labels)
+        labels = _within_size_limit(labels)
         vectors = [tuple(v) for v in vectors]
         if len(vectors) != len(labels) or len({len(v) for v in vectors}) > 1:
             raise PosetError("need one vector per label, all of one length")
@@ -479,6 +481,14 @@ class FinitePoset:
 
 # A double-quoted DOT string on one line; group 1 is its escaped content.
 _DOT_STRING = r'"((?:[^"\\\n]|\\.)*)"'
+
+
+def _within_size_limit(labels: Sequence[Hashable]) -> tuple:
+    """labels as a tuple; PosetError beyond POSET_SIZE_LIMIT elements."""
+    labels = tuple(labels)
+    if len(labels) > POSET_SIZE_LIMIT:
+        raise PosetError(f"{len(labels)} elements exceed the limit of {POSET_SIZE_LIMIT}")
+    return labels
 
 
 def _distinct_texts(texts: list[str]) -> list[str]:

@@ -57,6 +57,14 @@ def test_all_involutions_rejects_size_zero():
         all_involutions(0)
 
 
+def test_involution_enumeration_stops_at_ten_factorial():
+    assert involution_count(14) < 3628800 < involution_count(15)
+    with pytest.raises(ValueError, match="exceed 10!"):
+        all_involutions(15)
+    with pytest.raises(ValueError, match="exceed 10!"):
+        maximal_slow_climbing_below((2, 1) + tuple(range(3, 16)))
+
+
 def test_count_values():
     assert [involution_count(n) for n in range(1, 9)] == [1, 2, 4, 10, 26, 76, 232, 764]
 

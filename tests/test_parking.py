@@ -60,6 +60,8 @@ def test_validation():
         all_parking_functions(8)  # its 9^7 parking functions exceed 10!
     with pytest.raises(ValueError):
         parking_poset(8)
+    with pytest.raises(ValueError):
+        parking_poset(7)  # 8^6 + 1 elements, beyond the poset size limit
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -11,6 +11,7 @@ from middleorder.orders import upper_covers
 from middleorder.parking import parking_poset
 from middleorder.permutations import all_permutations
 from middleorder.posets import (
+    POSET_SIZE_LIMIT,
     FinitePoset,
     PosetError,
     antichain,
@@ -433,6 +434,16 @@ def test_from_vectors_rejects_bad_vectors():
         FinitePoset.from_vectors("ab", [(0, 1)])
     far = FinitePoset.from_vectors("ab", [(-10**12,), (10**12,)])
     assert far.leq(0, 1) and not far.leq(1, 0)
+
+
+def test_builders_refuse_more_than_the_element_limit():
+    labels = range(POSET_SIZE_LIMIT + 1)
+    with pytest.raises(PosetError, match="exceed the limit"):
+        FinitePoset.from_vectors(labels, [(k,) for k in labels])
+    with pytest.raises(PosetError, match="exceed the limit"):
+        FinitePoset.from_covers(labels, [])
+    with pytest.raises(PosetError, match="exceed the limit"):
+        FinitePoset.from_leq(labels, lambda a, b: a <= b)
 
 
 def test_chain_product_is_componentwise():

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,38 @@ def test_library_does_not_import_its_oracles():
                 if "verify" in parts:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# The largest n each suite checks, whatever n_max asks for.
+REACH = {
+    "bijection": 8, "sandwich": 6, "mesh": 6, "tables": 8,
+    "mobius": 8, "involutions": 9, "heyting": 8, "parking": 7,
+}
+
+
+def test_each_check_is_declared_once_with_its_sizes():
+    source = (PACKAGE / "verify.py").read_text()
+    assert "min(n_max" not in source
+    size_loops = [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+        and node.target.id == "n"
+    ]
+    assert len(size_loops) == 1, size_loops
+    assert list(verify.SUITES) == list(REACH)
+    for suite, reach in REACH.items():
+        table = getattr(verify, suite.upper())
+        assert all(isinstance(c, verify.Check) and 1 <= c.first <= c.cap for c in table), suite
+        assert max(c.cap for c in table) == reach, suite
+
+
+def test_n_max_bounds_every_sized_check():
+    for n_max in range(1, 5):
+        sizes = [
+            int(m.group(1)) for r in verify.run_suite("all", n_max)
+            if "to n=" not in r.name and (m := re.search(r" n=(\d+)$", r.name))
+        ]
+        assert sizes and max(sizes) == n_max
 
 
 def test_run_suite_rejects_n_max_below_one():
