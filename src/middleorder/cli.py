@@ -6,6 +6,7 @@ parse errors.
 """
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING
 
 import click
@@ -51,8 +52,6 @@ def main() -> None:
 )
 def cmd_table(kind: str, n: int, fmt: str) -> None:
     """Emit rows 1..N of a counting table."""
-    if not 1 <= n <= counting.COUNTING_LIMIT:
-        raise click.UsageError(f"n must be in [1, {counting.COUNTING_LIMIT}]")
     try:
         rows = counting.table_rows(kind, n)
     except ValueError as exc:
@@ -68,33 +67,20 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # hasse
 
-ORDERS = ("middle", "bruhat", "weak", "involutions", "regular", "parking")
+# The module and function that build each order's poset, imported on use.
+ORDERS = {
+    "middle": ("orders", "middle_poset"),
+    "bruhat": ("orders", "bruhat_poset"),
+    "weak": ("orders", "weak_poset"),
+    "involutions": ("involutions", "involution_poset"),
+    "regular": ("heyting", "regular_subposet"),
+    "parking": ("parking", "parking_poset"),
+}
 
 
 def _build_poset(order: str, n: int) -> FinitePoset:
-    if order == "middle":
-        from .orders import middle_poset
-
-        return middle_poset(n)
-    if order == "bruhat":
-        from .orders import bruhat_poset
-
-        return bruhat_poset(n)
-    if order == "weak":
-        from .orders import weak_poset
-
-        return weak_poset(n)
-    if order == "involutions":
-        from .involutions import involution_poset
-
-        return involution_poset(n)
-    if order == "regular":
-        from .heyting import regular_subposet
-
-        return regular_subposet(n)
-    from .parking import parking_poset
-
-    return parking_poset(n)
+    module, builder = ORDERS[order]
+    return getattr(importlib.import_module(f".{module}", __package__), builder)(n)
 
 
 def _node_text(label, order: str, style: str) -> str:
@@ -108,7 +94,7 @@ def _node_text(label, order: str, style: str) -> str:
 
 
 @main.command("hasse")
-@click.option("--order", type=click.Choice(ORDERS), default="middle", show_default=True)
+@click.option("--order", type=click.Choice(tuple(ORDERS)), default="middle", show_default=True)
 @click.option("--n", "n", type=int, required=True)
 @click.option(
     "--labels",
@@ -122,11 +108,12 @@ def _node_text(label, order: str, style: str) -> str:
               show_default=True, help="Largest n accepted.")
 def cmd_hasse(order: str, n: int, style: str, limit: int) -> None:
     """Print the Hasse diagram of an order as a DOT digraph."""
-    if n < 1:
-        raise click.UsageError("n must be >= 1")
     if n > limit:
         raise click.UsageError(f"n = {n} exceeds the diagram limit {limit}")
-    poset = _build_poset(order, n)
+    try:
+        poset = _build_poset(order, n)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     relabeled = poset.relabeled([_node_text(lab, order, style) for lab in poset.labels])
     click.echo(relabeled.to_dot(name=order), nl=False)
 

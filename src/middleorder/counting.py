@@ -12,23 +12,18 @@ import json
 import math
 from functools import lru_cache
 
-from .permutations import Perm, all_permutations, inversion_pair, inversion_sequence
+from .permutations import Perm, all_permutations, check_size, inversion_pair, inversion_sequence
 
 COUNTING_LIMIT = 50
 
 
-def _check_n(n: int, smallest: int = 1) -> None:
-    if not smallest <= n <= COUNTING_LIMIT:
-        raise ValueError(f"n must be in [{smallest}, {COUNTING_LIMIT}]")
-
-
 def interval_count_total(n: int) -> int:
     """Number of intervals in the middle order of size n: n!(n+1)!/2^n."""
-    _check_n(n)
+    check_size(n, most=COUNTING_LIMIT)
     return math.factorial(n) * math.factorial(n + 1) // 2**n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def intervals_by_rank(n: int) -> tuple[int, ...]:
     """Row (f(n,0), ..., f(n, C(n,2))) of interval counts by rank.
 
@@ -36,7 +31,7 @@ def intervals_by_rank(n: int) -> tuple[int, ...]:
     i = k - h that is the window sum over i of (n - k) f(n-1, i) + i f(n-1, i),
     so two prefix sums give each entry in O(1).
     """
-    _check_n(n)
+    check_size(n, most=COUNTING_LIMIT)
     if n == 1:
         return (1,)
     prev = intervals_by_rank(n - 1)
@@ -51,18 +46,18 @@ def intervals_by_rank(n: int) -> tuple[int, ...]:
 
 def covering_relation_count(n: int) -> int:
     """f(n,1), the number of covering relations; it equals n!(n - H_n)."""
-    _check_n(n, smallest=2)
+    check_size(n, 2, COUNTING_LIMIT)
     return intervals_by_rank(n)[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def polynomial_row(n: int) -> tuple[int, ...]:
     """Coefficients (p(n,0), ..., p(n, C(n,2))) of the row polynomial
     prod_{i=1..n} (1 + 2x + ... + i x^{i-1}).
 
     Reversing the row gives intervals_by_rank(n).
     """
-    _check_n(n)
+    check_size(n, most=COUNTING_LIMIT)
     if n == 1:
         return (1,)
     prev = polynomial_row(n - 1)
@@ -96,7 +91,7 @@ def is_boolean_interval(v: Perm, w: Perm) -> tuple[bool, int]:
 
 def boolean_interval_total(n: int) -> int:
     """(2n-1)!! as a product of odd numbers."""
-    _check_n(n)
+    check_size(n, most=COUNTING_LIMIT)
     value = 1
     for odd in range(1, 2 * n, 2):
         value *= odd
@@ -108,9 +103,9 @@ _STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
 
 
 def stirling_first_unsigned(n: int, j: int) -> int:
-    """c(n, j): permutations of size n with j cycles."""
-    if n < 0 or j < 0:
-        raise ValueError("need n >= 0 and j >= 0")
+    """c(n, j): permutations of size n with j cycles, for n(j+1) <= 20000."""
+    check_size(j, 0, name="j")
+    check_size(n, 0, 20000 // (j + 1), why="c(n, j) takes n(j+1) big-integer additions")
     return _stirling_columns(n, j + 1)[j] if j <= n else 0
 
 
@@ -134,7 +129,7 @@ def boolean_by_rank(n: int) -> tuple[int, ...]:
 
     Computed by the closed formula b(n,k) = sum_i C(i,k) c(n,n-i).
     """
-    _check_n(n)
+    check_size(n, most=COUNTING_LIMIT)
     c = _stirling_columns(n, n + 1)[::-1]  # c[i] = c(n, n - i)
     return tuple(sum(math.comb(i, k) * c[i] for i in range(n + 1)) for k in range(n))
 
@@ -148,8 +143,9 @@ def euler_characteristic(w: Perm) -> int:
 def euler_distribution(n: int) -> tuple[int, ...]:
     """Histogram of the Euler characteristic over S_n; entry k equals
     c(n, n-k); ValueError from all_permutations beyond n = 10."""
+    perms = all_permutations(n)
     counts = [0] * n
-    for w in all_permutations(n):
+    for w in perms:
         counts[euler_characteristic(w)] += 1
     return tuple(counts)
 
@@ -162,6 +158,7 @@ TABLE_KINDS = ("intervals", "boolean", "euler", "stirling")
 
 def table_rows(kind: str, n: int) -> list[tuple[int, tuple[int, ...]]]:
     """Rows 1..n of the requested table as (n, values) pairs."""
+    check_size(n, most=COUNTING_LIMIT)
     if kind == "intervals":
         return [(m, intervals_by_rank(m)) for m in range(1, n + 1)]
     if kind == "boolean":

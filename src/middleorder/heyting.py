@@ -15,6 +15,7 @@ from .orders import middle_subposet
 from .permutations import (
     Perm,
     _decode,
+    check_size,
     inversion_pair,
     inversion_sequence,
 )
@@ -51,8 +52,7 @@ def is_regular(v: Perm) -> bool:
 def regular_elements(n: int) -> list[Perm]:
     """The 2^(n-1) regular elements, ordered by inversion sequence;
     ValueError beyond n = 22, where 2^(n-1) would exceed 10!."""
-    if not 1 <= n <= 22:
-        raise ValueError("size must be in [1, 22]")
+    check_size(n, most=22, why="2^(n-1) would exceed 10!")
     out = []
     for bits in range(2 ** (n - 1)):
         coords = [0] + [
@@ -64,4 +64,5 @@ def regular_elements(n: int) -> list[Perm]:
 
 def regular_subposet(n: int) -> FinitePoset:
     """Induced subposet of regular elements; boolean of rank n-1."""
+    check_size(n, most=17, why="2^(n-1) would exceed the poset size limit")
     return middle_subposet(regular_elements(n))

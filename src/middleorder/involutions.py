@@ -18,6 +18,7 @@ from .permutations import (
     Perm,
     _encode,
     _is_involution,
+    check_size,
     validate_inversion_sequence,
     validate_permutation,
 )
@@ -54,16 +55,16 @@ def _seq_check(x: tuple[int, ...]) -> bool:
 
 
 def involution_count(n: int) -> int:
-    """i(n) = i(n-1) + (n-1) i(n-2), with i(0) = i(1) = 1."""
-    if n < 0:
-        raise ValueError("size must be >= 0")
+    """i(n) = i(n-1) + (n-1) i(n-2), with i(0) = i(1) = 1; ValueError
+    beyond n = 20000."""
+    check_size(n, 0, 20000, why="i(n) takes n big-integer steps")
     prev, count = 1, 1
     for m in range(2, n + 1):
         prev, count = count, count + (m - 1) * prev
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def all_involutions(n: int) -> tuple[Perm, ...]:
     """Involutions of size n, ordered lexicographically by inversion sequence.
 
@@ -72,10 +73,7 @@ def all_involutions(n: int) -> tuple[Perm, ...]:
     j < m, the other m-2 values carrying an involution of size m-2.
     ValueError beyond n = 14, where i(n) would exceed 10!.
     """
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    if n > 14:
-        raise ValueError(f"the {involution_count(n)} involutions of size {n} exceed 10!")
+    check_size(n, most=14, why="i(n) would exceed 10!")
     before, current = [()], [(1,)]
     for m in range(2, n + 1):
         paired = [_pair_with_top(u, j, m) for j in range(1, m) for u in before]
@@ -180,4 +178,5 @@ def _involution_code(w: Perm) -> InvSeq:
 
 def involution_poset(n: int) -> FinitePoset:
     """The involutions of size n under the induced middle order."""
+    check_size(n, most=11, why="i(n) would exceed the poset size limit")
     return middle_subposet(all_involutions(n))

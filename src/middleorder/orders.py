@@ -20,6 +20,7 @@ from .permutations import (
     Perm,
     _decode,
     all_permutations,
+    check_size,
     inversion_pair,
     inversion_sequence,
     shading_is_empty,
@@ -137,8 +138,7 @@ def join_irreducibles(n: int) -> list[Perm]:
     These are the words 1 2 ... i j (i+1) ... (j-1) (j+1) ... n; there
     are n(n-1)/2 of them.
     """
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    check_size(n, most=250, why="n(n-1)/2 words of n entries")
     out = []
     for j in range(2, n + 1):
         for k in range(1, j):
@@ -226,6 +226,7 @@ def middle_subposet(perms: Iterable[Perm]) -> FinitePoset:
 
 
 def middle_poset(n: int) -> FinitePoset:
+    check_size(n, most=8, why="n! would exceed the poset size limit")
     return middle_subposet(all_permutations(n))
 
 
@@ -237,12 +238,11 @@ def bruhat_poset(n: int) -> FinitePoset:
     return _cover_poset(n, BRUHAT_RISE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _cover_poset(n: int, rise: MeshPattern) -> FinitePoset:
     """S_n ordered by the closure of its rise swaps, cached per size;
     ValueError beyond n = 7, before n! masks of n! bits are built."""
-    if n > 7:
-        raise ValueError(f"the weak and Bruhat orders are built only up to n = 7, not {n}")
+    check_size(n, most=7, why="the weak and Bruhat orders are built only up to n = 7")
     from .posets import FinitePoset
 
     perms = all_permutations(n)

@@ -15,6 +15,7 @@ import itertools
 import operator
 from typing import Iterator, Sequence, Union
 
+from .permutations import check_size
 from .posets import FinitePoset
 
 
@@ -50,8 +51,8 @@ def is_parking_function(prefs: Sequence[int]) -> bool:
     n = len(p)
     if n == 0:
         raise ValueError("parking functions of size 0 are not supported")
-    if any(not 1 <= v <= n for v in p):
-        raise ValueError(f"preferences must lie in [1, {n}]: {p!r}")
+    if set(map(type, p)) != {int} or min(p) < 1 or max(p) > n:
+        raise ValueError(f"preferences must be ints in [1, {n}]: {p!r}")
     return _parks(p)
 
 
@@ -60,23 +61,29 @@ def _parks(p: tuple[int, ...]) -> bool:
     return all(map(operator.le, sorted(p), range(1, len(p) + 1)))
 
 
+def _validate_pair(p: ParkingFunction, q: ParkingFunction) -> tuple:
+    """p and q, each TOP or a parking function, of one size if neither is TOP."""
+    p, q = (x if x is TOP else validate_parking_function(x) for x in (p, q))
+    if TOP not in (p, q) and len(p) != len(q):
+        raise ValueError("size mismatch")
+    return p, q
+
+
 def pf_leq(p: ParkingFunction, q: ParkingFunction) -> bool:
+    p, q = _validate_pair(p, q)
     if q is TOP:
         return True
     if p is TOP:
         return False
-    if len(p) != len(q):
-        raise ValueError("size mismatch")
     return all(a <= b for a, b in zip(p, q))
 
 
 def pf_meet(p: ParkingFunction, q: ParkingFunction) -> ParkingFunction:
+    p, q = _validate_pair(p, q)
     if p is TOP:
         return q
     if q is TOP:
         return p
-    if len(p) != len(q):
-        raise ValueError("size mismatch")
     return tuple(min(a, b) for a, b in zip(p, q))
 
 
@@ -86,19 +93,17 @@ def pf_join(p: ParkingFunction, q: ParkingFunction) -> ParkingFunction:
     Any upper bound dominates the coordinate-wise max, and domination
     preserves failure of the sorted criterion, so TOP is then least.
     """
+    p, q = _validate_pair(p, q)
     if p is TOP or q is TOP:
         return TOP
-    if len(p) != len(q):
-        raise ValueError("size mismatch")
     m = tuple(max(a, b) for a, b in zip(p, q))
-    return m if is_parking_function(m) else TOP
+    return m if _parks(m) else TOP
 
 
 def all_parking_functions(n: int) -> list[tuple[int, ...]]:
     """ValueError beyond n = 7: at n = 8 there are 9^7 parking functions,
     more than 10!."""
-    if n > 7:
-        raise ValueError(f"the {n + 1}^{n - 1} parking functions of size {n} exceed 10!")
+    check_size(n, most=7, why="(n+1)^(n-1) would exceed 10!")
     return list(_parking_functions(n))
 
 
@@ -111,8 +116,6 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     one: j = n).  So the tree of prefixes is walked depth first with no
     dead node, and the last entry of each leaf is emitted as a range.
     """
-    if n < 1:
-        raise ValueError("parking functions of size 0 are not supported")
     return itertools.chain.from_iterable(_completions(n))
 
 
@@ -135,6 +138,7 @@ def _completions(n: int) -> Iterator[list[tuple[int, ...]]]:
 def parking_poset(n: int) -> FinitePoset:
     """The parking functions of size n with the adjoined top, whose
     vector (n+1, ..., n+1) lies above every parking function's."""
+    check_size(n, most=6, why="(n+1)^(n-1) + 1 would exceed the poset size limit")
     pfs = all_parking_functions(n)
     return FinitePoset.from_vectors(pfs + [TOP], pfs + [(n + 1,) * n])
 
@@ -148,8 +152,7 @@ def pentagon_witness(n: int):
     coordinates are padded with 4, 5, ..., n (forced preferences, so the
     joins of the incomparable pairs stay non-parking).
     """
-    if n < 3:
-        raise ValueError("pentagon witness requires n >= 3")
+    check_size(n, 3, 10**6, why="the witness lives on three coordinates, padded to n")
     pad = tuple(range(4, n + 1))
     bottom = (1, 1, 1) + pad
     side = (3, 1, 1) + pad

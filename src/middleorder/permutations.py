@@ -62,16 +62,27 @@ def validate_inversion_sequence(coords: Sequence[int]) -> InvSeq:
     return x
 
 
+def check_size(n: object, least: int = 1, most: int | None = None,
+               name: str = "n", why: str = "") -> int:
+    """n if it is a plain int in [least, most], else ValueError (bool and
+    float too); the message shows n only while it is short to print."""
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an int, not {type(n).__name__}")
+    if n < least or most is not None and n > most:
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        shown = n if n.bit_length() <= 64 else f"an int of {n.bit_length()} bits"
+        raise ValueError(f"{name} must be {bound}{f' ({why})' if why else ''}, not {shown}")
+    return n
+
+
 def identity(n: int) -> Perm:
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    check_size(n, most=10**6, why="a word of n entries")
     return tuple(range(1, n + 1))
 
 
 def long_element(n: int) -> Perm:
     """The reverse identity n, n-1, ..., 1, the maximum of the middle order."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    check_size(n, most=10**6, why="a word of n entries")
     return tuple(range(n, 0, -1))
 
 
@@ -139,16 +150,13 @@ def _decode(x: InvSeq) -> Perm:
 
 def all_inversion_sequences(n: int) -> Iterator[InvSeq]:
     """All inversion sequences of size n in lexicographic order."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    check_size(n, most=10, why="n! would exceed 10!")
     return itertools.product(*(range(i) for i in range(1, n + 1)))
 
 
 def all_permutations(n: int) -> list[Perm]:
     """All of S_n, ordered lexicographically by inversion sequence;
     ValueError beyond n = 10, where n! would exceed 10!."""
-    if n > 10:
-        raise ValueError(f"S_{n} has more than 10! elements to enumerate")
     return [_decode(x) for x in all_inversion_sequences(n)]
 
 

@@ -16,6 +16,8 @@ import itertools
 import re
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
+from .permutations import check_size
+
 ISO_SIZE_LIMIT = 64
 # The builders refuse more elements: n elements take n^2 bits of masks.
 POSET_SIZE_LIMIT = 1 << 16
@@ -512,14 +514,17 @@ def _dot_unescape(m: re.Match) -> str:
 
 def chain(k: int) -> FinitePoset:
     """The chain 0 < 1 < ... < k-1."""
+    check_size(k, 0, POSET_SIZE_LIMIT, name="k")
     return FinitePoset.from_covers(list(range(k)), [(i, i + 1) for i in range(k - 1)])
 
 
 def antichain(k: int) -> FinitePoset:
+    check_size(k, 0, POSET_SIZE_LIMIT, name="k")
     return FinitePoset.from_covers(list(range(k)), [])
 
 
 def boolean_lattice(k: int) -> FinitePoset:
+    check_size(k, 0, 16, name="k", why="2^k would exceed the poset size limit")
     subsets = [frozenset(s) for r in range(k + 1)
                for s in itertools.combinations(range(k), r)]
     idx = {s: i for i, s in enumerate(subsets)}

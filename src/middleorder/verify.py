@@ -30,6 +30,7 @@ from .permutations import (
     all_inversion_sequences,
     all_permutations,
     avoids_classical,
+    check_size,
     cycle_count,
     foata_image,
     from_inversion_sequence,
@@ -77,8 +78,7 @@ class Check(NamedTuple):
 
 def _run_checks(checks: Sequence[Check], n_max: int) -> list[CheckResult]:
     """Every check of a table in turn, each at its sizes in increasing order."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, not {n_max}")
+    check_size(n_max, name="n_max")
     out = []
     for check in checks:
         for n in range(check.first, min(check.cap, n_max) + 1):
@@ -708,13 +708,11 @@ def _heyting_max_property(n: int) -> CheckResult:
 
 def _heyting_adjunction(n: int) -> CheckResult:
     seqs = list(all_inversion_sequences(n))
-    arrow = {}
-    for x in seqs:
-        for y in seqs:
-            arrow[(x, y)] = tuple(
-                i - 1 if x[i - 1] <= y[i - 1] else y[i - 1]
-                for i in range(1, n + 1)
-            )
+    arrow = {
+        (x, y): inversion_sequence(heyting.relative_pseudocomplement(
+            from_inversion_sequence(x), from_inversion_sequence(y)))
+        for x in seqs for y in seqs
+    }
     bad = None
     for x in seqs:
         for z in seqs:

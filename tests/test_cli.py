@@ -90,6 +90,12 @@ def test_hasse_deterministic(runner):
     assert first == second
 
 
+def test_hasse_refuses_size_zero_for_every_order(runner):
+    for order in ("middle", "bruhat", "weak", "involutions", "regular", "parking"):
+        result = invoke(runner, "hasse", "--order", order, "--n", "0")
+        assert result.exit_code == 2 and "n must be in [1, " in result.output, order
+
+
 def test_hasse_limit(runner):
     assert invoke(runner, "hasse", "--order", "middle", "--n", "6").exit_code == 2
     deep = invoke(runner, "hasse", "--order", "regular", "--n", "6", "--limit", "6")

@@ -119,6 +119,17 @@ def test_parking_lattice_is_not_modular(n):
     assert poset.find_pentagon() is not None
 
 
+@pytest.mark.parametrize("call", [
+    lambda: pf_leq("abc", "abd"),
+    lambda: pf_meet((0, 5), (7, 1)),
+    lambda: is_parking_function((1, 2.0)),
+    lambda: pf_join((1, 2.0), (1, 1)),
+], ids=["leq-of-strings", "meet-out-of-range", "float-entry", "join-with-float"])
+def test_operations_refuse_what_is_not_a_parking_function(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_pentagon_witness(n):
     elements = pentagon_witness(n)

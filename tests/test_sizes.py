@@ -1,0 +1,105 @@
+"""Every public function that takes a size refuses a malformed or
+oversized one with ValueError, before any enumeration or big-integer
+loop.  Nothing here attempts the oversized work or times anything."""
+import inspect
+import itertools
+import math
+
+import pytest
+
+import middleorder
+from middleorder import heyting, involutions, orders, parking, posets
+from middleorder.involutions import all_involutions, involution_count
+from middleorder.permutations import check_size
+from middleorder.posets import POSET_SIZE_LIMIT
+
+MALFORMED = (True, 2.0, math.nan, None, "3", -1)
+
+# Each public size-taking function: for each of its size arguments, one
+# value just over its budget.  The other arguments are given 1.
+OVER_BUDGET = {
+    "all_involutions": {"n": 15},
+    "all_parking_functions": {"n": 8},
+    "all_permutations": {"n": 11},
+    "boolean_by_rank": {"n": 51},
+    "boolean_interval_total": {"n": 51},
+    "covering_relation_count": {"n": 51},
+    "euler_distribution": {"n": 11},
+    "identity": {"n": 10**6 + 1},
+    "interval_count_total": {"n": 51},
+    "intervals_by_rank": {"n": 51},
+    "involution_count": {"n": 20001},
+    "join_irreducibles": {"n": 251},
+    "long_element": {"n": 10**6 + 1},
+    "middle_poset": {"n": 9},
+    "polynomial_row": {"n": 51},
+    "regular_elements": {"n": 23},
+    "stirling_first_unsigned": {"n": 10001, "j": 20000},
+}
+
+
+def size_parameters(func):
+    return [p.name for p in inspect.signature(func).parameters.values()
+            if p.annotation in ("int", int)]
+
+
+def test_every_public_size_argument_is_in_the_table():
+    sized = {}
+    for name in middleorder.__all__:
+        obj = getattr(middleorder, name)
+        if inspect.isfunction(inspect.unwrap(obj)) and size_parameters(obj):
+            sized[name] = set(size_parameters(obj))
+    assert sized == {name: set(sizes) for name, sizes in OVER_BUDGET.items()}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_malformed_and_oversized_sizes_are_refused(name):
+    func = getattr(middleorder, name)
+    params = size_parameters(func)
+    for param, over in OVER_BUDGET[name].items():
+        for bad in (*MALFORMED, over):
+            with pytest.raises(ValueError):
+                func(**{**dict.fromkeys(params, 1), param: bad})
+
+
+def test_refusal_names_the_bound_and_never_prints_a_huge_n():
+    with pytest.raises(ValueError, match=r"n must be in \[1, 14\].*not 20000$"):
+        all_involutions(20000)
+    with pytest.raises(ValueError, match=r"n must be in \[0, 20000\].*an int of 16610 bits$"):
+        involution_count(10**5000)
+    with pytest.raises(ValueError, match="k must be an int, not bool"):
+        check_size(True, name="k")
+    assert check_size(0, least=0) == 0
+
+
+class Enumerated(Exception):
+    """Raised by an enumerator patched in place of the real one."""
+
+
+def enumerated(*_args):
+    raise Enumerated
+
+
+# builder, its largest size, the element count at size n, and the
+# enumerator it calls first
+BUILDERS = [
+    (orders.middle_poset, 8, math.factorial, (orders, "all_permutations")),
+    (involutions.involution_poset, 11, involution_count, (involutions, "all_involutions")),
+    (heyting.regular_subposet, 17, lambda n: 2 ** (n - 1), (heyting, "regular_elements")),
+    (parking.parking_poset, 6, lambda n: (n + 1) ** (n - 1) + 1,
+     (parking, "all_parking_functions")),
+    (posets.boolean_lattice, 16, lambda k: 2**k, (itertools, "combinations")),
+]
+
+
+@pytest.mark.parametrize("builder, most, count, enumerator", BUILDERS,
+                         ids=[b[0].__name__ for b in BUILDERS])
+def test_builders_refuse_an_oversized_poset_before_enumerating(
+    monkeypatch, builder, most, count, enumerator
+):
+    assert count(most) <= POSET_SIZE_LIMIT < count(most + 1)
+    monkeypatch.setattr(*enumerator, enumerated)
+    with pytest.raises(Enumerated):
+        builder(most)
+    with pytest.raises(ValueError, match="poset size limit"):
+        builder(most + 1)

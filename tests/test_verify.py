@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import middleorder
-from middleorder import involutions, verify
+from middleorder import heyting, involutions, verify
+from middleorder.permutations import from_inversion_sequence, inversion_sequence
 
 PACKAGE = Path(middleorder.__file__).resolve().parent
 
@@ -104,6 +105,17 @@ def test_run_suite_rejects_n_max_below_one():
     for n_max in (0, -3):
         with pytest.raises(ValueError, match="n_max"):
             verify.run_suite("bijection", n_max)
+
+
+def test_heyting_adjunction_checks_the_library_arrow(monkeypatch):
+    def strict_arrow(v, w):
+        x, y = inversion_sequence(v), inversion_sequence(w)
+        return from_inversion_sequence(
+            tuple(i if a < b else b for i, (a, b) in enumerate(zip(x, y))))
+
+    assert verify._heyting_adjunction(4).ok
+    monkeypatch.setattr(heyting, "relative_pseudocomplement", strict_arrow)
+    assert not verify._heyting_adjunction(4).ok
 
 
 def test_involution_test_check_catches_one_flipped_answer(monkeypatch):
