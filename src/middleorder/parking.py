@@ -39,21 +39,29 @@ ParkingFunction = Union[tuple[int, ...], _Top]
 
 
 def validate_parking_function(prefs: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(prefs)
-    if not is_parking_function(p):
+    p = _preferences(prefs)
+    if not _parks(p):
         raise ValueError(f"{p!r} is not a parking function")
     return p
 
 
 def is_parking_function(prefs: Sequence[int]) -> bool:
     """Sorted criterion: the nondecreasing rearrangement has q_i <= i."""
-    p = tuple(prefs)
+    return _parks(_preferences(prefs))
+
+
+def _preferences(prefs: Sequence[int]) -> tuple[int, ...]:
+    """prefs as a tuple, checking it is n >= 1 ints in [1, n]."""
+    try:
+        p = tuple(prefs)
+    except TypeError:
+        raise ValueError(f"preferences must be iterable, not {type(prefs).__name__}") from None
     n = len(p)
     if n == 0:
         raise ValueError("parking functions of size 0 are not supported")
     if set(map(type, p)) != {int} or min(p) < 1 or max(p) > n:
         raise ValueError(f"preferences must be ints in [1, {n}]: {p!r}")
-    return _parks(p)
+    return p
 
 
 def _parks(p: tuple[int, ...]) -> bool:

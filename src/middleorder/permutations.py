@@ -15,11 +15,13 @@ w -> I(w) is a bijection from S_n onto the full box of such vectors.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 InvSeq = tuple[int, ...]
+_RUN_BITS = 10  # _encode keeps the values it has seen in sorted runs of 2**_RUN_BITS
 
 
 def validate_permutation(word: Sequence[int]) -> Perm:
@@ -28,7 +30,10 @@ def validate_permutation(word: Sequence[int]) -> Perm:
     Entries must be of type int: bools and floats compare equal to ints
     but break decoding and formatting, so they are rejected.
     """
-    w = tuple(word)
+    try:
+        w = tuple(word)
+    except TypeError:
+        raise ValueError(f"permutation must be iterable, not {type(word).__name__}") from None
     n = len(w)
     if n == 0:
         raise ValueError("permutations of size 0 are not supported")
@@ -51,7 +56,11 @@ def validate_inversion_sequence(coords: Sequence[int]) -> InvSeq:
 
     Entries must be of type int, as in validate_permutation.
     """
-    x = tuple(coords)
+    try:
+        x = tuple(coords)
+    except TypeError:
+        raise ValueError(
+            f"inversion sequence must be iterable, not {type(coords).__name__}") from None
     if len(x) == 0:
         raise ValueError("inversion sequences of size 0 are not supported")
     if set(map(type, x)) != {int}:
@@ -101,23 +110,31 @@ def inversion_sequence(w: Perm) -> InvSeq:
 def _encode(w: Perm) -> InvSeq:
     """inversion_sequence of an already validated permutation, in O(n log n).
 
-    Scans w from right to left, counting the values seen so far in a
-    Fenwick tree over 1..n: x_v is the number of seen values below v.
+    Scans w from right to left, keeping the values seen in sorted runs of
+    1,024 (v in run v >> _RUN_BITS): x_v is v's bisect position in its run
+    plus the seen values in lower runs, from a Fenwick tree over the runs.
+    A run insert moves at most 8 KB, and below n = 1,024 there is one run
+    and the tree loops never run: one C-level bisect and insert per value.
     """
     n = len(w)
-    tree = [0] * (n + 1)
+    top = n >> _RUN_BITS
+    runs: list[list[int]] = [[] for _ in range(top + 1)]
+    tree = [0] * (top + 1)
     x = [0] * n
     for v in reversed(w):
-        below = 0
-        k = v - 1
-        while k:
-            below += tree[k]
-            k &= k - 1
-        x[v - 1] = below
-        k = v
-        while k <= n:
-            tree[k] += 1
-            k += k & -k
+        r = v >> _RUN_BITS
+        run = runs[r]
+        k = bisect_left(run, v)
+        run.insert(k, v)
+        i = r
+        while i:
+            k += tree[i]
+            i &= i - 1
+        x[v - 1] = k
+        i = r + 1
+        while i <= top:
+            tree[i] += 1
+            i += i & -i
     return tuple(x)
 
 
@@ -179,11 +196,15 @@ class MeshPattern:
     def __post_init__(self) -> None:
         p = validate_permutation(self.pattern)
         object.__setattr__(self, "pattern", p)
-        object.__setattr__(self, "mesh", frozenset(self.mesh))
         k = len(p)
-        for a, b in self.mesh:
-            if not (0 <= a <= k and 0 <= b <= k):
-                raise ValueError(f"mesh cell {(a, b)} outside [0,{k}]x[0,{k}]")
+        try:
+            mesh = frozenset(self.mesh)
+            outside = [c for c in mesh if len(c) != 2 or not all(0 <= i <= k for i in c)]
+        except TypeError:
+            raise ValueError(f"mesh must be a set of cells (a, b), not {self.mesh!r}") from None
+        if outside:
+            raise ValueError(f"mesh cell {outside[0]} outside [0,{k}]x[0,{k}]")
+        object.__setattr__(self, "mesh", mesh)
 
 
 def _classical_occurrences(w: Perm, p: Perm) -> Iterator[tuple[int, ...]]:
@@ -217,6 +238,8 @@ def count_classical(w: Perm, p: Perm) -> int:
 def mesh_contains(w: Perm, m: MeshPattern) -> int:
     """Count occurrences of the mesh pattern m in w."""
     w = validate_permutation(w)
+    if not isinstance(m, MeshPattern):
+        raise ValueError(f"m must be a MeshPattern, not {type(m).__name__}")
     return sum(
         1 for positions in _classical_occurrences(w, m.pattern)
         if shading_is_empty(w, positions, m)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from middleorder.permutations import (
+    _RUN_BITS,
     MeshPattern,
     all_inversion_sequences,
     all_permutations,
@@ -72,6 +73,25 @@ def test_round_trip_at_large_n():
     x = inversion_sequence(w)
     validate_inversion_sequence(x)
     assert from_inversion_sequence(x) == w
+
+
+# The encoder keeps the values it has seen in sorted runs of RUN values;
+# these sizes end the word just below, at and just past a run edge.
+RUN = 2**_RUN_BITS
+
+
+@pytest.mark.parametrize("n", [RUN - 1, RUN, RUN + 1, 2 * RUN, 2 * RUN + 1])
+def test_encode_where_the_runs_meet(n):
+    w = list(range(1, n + 1))
+    random.Random(n).shuffle(w)
+    w = tuple(w)
+    assert inversion_sequence(w) == inversion_sequence_by_counting(w)
+
+
+@pytest.mark.parametrize("word", [identity, long_element])
+def test_encode_across_three_full_runs(word):
+    w = word(3 * RUN + 1)
+    assert inversion_sequence(w) == inversion_sequence_by_counting(w)
 
 
 @given(perms)

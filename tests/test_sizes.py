@@ -1,6 +1,7 @@
 """Every public function that takes a size refuses a malformed or
 oversized one with ValueError, before any enumeration or big-integer
-loop.  Nothing here attempts the oversized work or times anything."""
+loop, and every one that takes a word refuses a non-iterable one with
+ValueError.  Nothing here attempts the oversized work or times anything."""
 import inspect
 import itertools
 import math
@@ -8,7 +9,7 @@ import math
 import pytest
 
 import middleorder
-from middleorder import heyting, involutions, orders, parking, posets
+from middleorder import MeshPattern, heyting, involutions, orders, parking, posets
 from middleorder.involutions import all_involutions, involution_count
 from middleorder.permutations import check_size
 from middleorder.posets import POSET_SIZE_LIMIT
@@ -70,6 +71,72 @@ def test_refusal_names_the_bound_and_never_prints_a_huge_n():
     with pytest.raises(ValueError, match="k must be an int, not bool"):
         check_size(True, name="k")
     assert check_size(0, least=0) == 0
+
+
+# Each public name that takes a word, a vector or a mesh pattern: a valid
+# value for each such argument.
+WORDS = {
+    "MeshPattern": {"pattern": (1, 2), "mesh": {(0, 0)}},
+    "avoids_classical": {"w": (2, 1), "p": (1,)},
+    "bruhat_leq": {"v": (1, 2), "w": (2, 1)},
+    "clusters": {"coords": (0, 1)},
+    "cover_mesh_witness": {"v": (1, 2), "w": (2, 1)},
+    "euler_characteristic": {"w": (2, 1)},
+    "from_inversion_sequence": {"coords": (0, 1)},
+    "inversion_sequence": {"w": (2, 1)},
+    "involution_seq_check": {"coords": (0, 1)},
+    "is_boolean_interval": {"v": (1, 2), "w": (2, 1)},
+    "is_involution": {"w": (2, 1)},
+    "is_parking_function": {"prefs": (1, 1)},
+    "is_regular": {"v": (2, 1)},
+    "is_slow_climbing": {"coords": (0, 1)},
+    "join": {"v": (1, 2), "w": (2, 1)},
+    "maximal_slow_climbing_below": {"w": (2, 1)},
+    "meet": {"v": (1, 2), "w": (2, 1)},
+    "mesh_contains": {"w": (2, 1), "m": MeshPattern((1,))},
+    "middle_covers": {"v": (1, 2), "w": (2, 1)},
+    "middle_leq": {"v": (1, 2), "w": (2, 1)},
+    "mobius_involution_ideal": {"w": (2, 1)},
+    "mobius_middle": {"v": (1, 2), "w": (2, 1)},
+    "pf_join": {"p": (1, 1), "q": (1, 2)},
+    "pf_leq": {"p": (1, 1), "q": (1, 2)},
+    "pf_meet": {"p": (1, 1), "q": (1, 2)},
+    "pseudocomplement": {"v": (2, 1)},
+    "rank": {"w": (2, 1)},
+    "relative_pseudocomplement": {"v": (1, 2), "w": (2, 1)},
+    "slow_climb_decompose": {"coords": (0, 1)},
+    "upper_covers": {"w": (2, 1)},
+    "weak_leq": {"v": (1, 2), "w": (2, 1)},
+}
+WORD_ANNOTATIONS = {"Perm", "InvSeq", "Sequence[int]", "ParkingFunction", "MeshPattern",
+                    "frozenset[tuple[int, int]]"}
+
+
+def word_parameters(obj):
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):  # TOP and PosetError have none to read
+        return []
+    return [p.name for p in params if p.annotation in WORD_ANNOTATIONS]
+
+
+def test_every_public_word_argument_is_in_the_table():
+    taking = {}
+    for name in middleorder.__all__:
+        params = word_parameters(getattr(middleorder, name))
+        if params:
+            taking[name] = set(params)
+    assert taking == {name: set(words) for name, words in WORDS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(WORDS))
+def test_non_iterable_words_are_refused(name):
+    func = getattr(middleorder, name)
+    for param in WORDS[name]:
+        # {1} is an iterable mesh whose cells are not
+        for bad in (5, None, *([{1}] if param == "mesh" else [])):
+            with pytest.raises(ValueError):
+                func(**{**WORDS[name], param: bad})
 
 
 class Enumerated(Exception):
