@@ -17,7 +17,6 @@ from . import counting
 from .permutations import (
     format_inversion_sequence,
     format_permutation,
-    from_inversion_sequence,
     inversion_sequence,
     parse_inversion_sequence,
     parse_permutation,
@@ -78,9 +77,13 @@ ORDERS = {
 }
 
 
+def _imported(module: str, name: str):
+    """middleorder.<module>.<name>, the module imported on first use."""
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 def _build_poset(order: str, n: int) -> FinitePoset:
-    module, builder = ORDERS[order]
-    return getattr(importlib.import_module(f".{module}", __package__), builder)(n)
+    return _imported(*ORDERS[order])(n)
 
 
 def _node_text(label, order: str, style: str) -> str:
@@ -121,24 +124,36 @@ def cmd_hasse(order: str, n: int, style: str, limit: int) -> None:
 # ---------------------------------------------------------------------------
 # query
 
+# Each operation: its argument names, the parser of each argument, the
+# module and function it calls (imported on use), the formatter of the
+# result and its help line.
+QUERIES = {
+    "invseq": ("W", parse_permutation, "permutations", "inversion_sequence",
+               format_inversion_sequence, "inversion sequence of W"),
+    "perm": ("X", parse_inversion_sequence, "permutations", "from_inversion_sequence",
+             format_permutation, "permutation with inversion sequence X"),
+    "meet": ("V W", parse_permutation, "orders", "meet", format_permutation, "middle-order meet"),
+    "join": ("V W", parse_permutation, "orders", "join", format_permutation, "middle-order join"),
+    "mobius": ("V W", parse_permutation, "orders", "mobius_middle", str,
+               "middle-order Moebius value"),
+    "mobius-inv": ("W", parse_permutation, "involutions", "mobius_involution_ideal", str,
+                   "Moebius value of [identity, W] among involutions"),
+    "heyting": ("V W", parse_permutation, "heyting", "relative_pseudocomplement",
+                format_permutation, "relative pseudocomplement V ~> W"),
+    "pseudo": ("V", parse_permutation, "heyting", "pseudocomplement", format_permutation,
+               "pseudocomplement of V"),
+    "euler": ("W", parse_permutation, "counting", "euler_characteristic", str,
+              "Euler characteristic of W"),
+    "covers": ("W", parse_permutation, "orders", "upper_covers",
+               lambda words: "\n".join(map(format_permutation, words)),
+               "elements covering W, one per line"),
+}
 
-@main.command("query")
+
+@main.command("query", help="Evaluate a one-shot expression.\n\n\b\n" + "\n".join(
+    f"{op + ' ' + entry[0]:13} {entry[-1]}" for op, entry in QUERIES.items()))
 @click.argument("expr", nargs=-1, required=True)
 def cmd_query(expr: tuple[str, ...]) -> None:
-    """Evaluate a one-shot expression.
-
-    \b
-    invseq W      inversion sequence of W
-    perm X        permutation with inversion sequence X
-    meet V W      middle-order meet
-    join V W      middle-order join
-    mobius V W    middle-order Moebius value
-    mobius-inv W  Moebius value of [identity, W] among involutions
-    heyting V W   relative pseudocomplement V ~> W
-    pseudo V      pseudocomplement of V
-    euler W       Euler characteristic of W
-    covers W      elements covering W, one per line
-    """
     try:
         click.echo(_evaluate(list(expr)))
     except ValueError as exc:
@@ -147,42 +162,13 @@ def cmd_query(expr: tuple[str, ...]) -> None:
 
 def _evaluate(tokens: list[str]) -> str:
     op, args = tokens[0], tokens[1:]
-    arity = {
-        "invseq": 1, "perm": 1, "meet": 2, "join": 2, "mobius": 2,
-        "mobius-inv": 1, "heyting": 2, "pseudo": 1, "euler": 1, "covers": 1,
-    }
-    if op not in arity:
+    if op not in QUERIES:
         raise ValueError(f"unknown operation {op!r}")
-    if len(args) != arity[op]:
-        raise ValueError(f"{op} takes {arity[op]} argument(s), got {len(args)}")
-    if op == "perm":
-        return format_permutation(from_inversion_sequence(parse_inversion_sequence(args[0])))
-    words = [parse_permutation(a) for a in args]
-    if op == "invseq":
-        return format_inversion_sequence(inversion_sequence(words[0]))
-    if op == "euler":
-        return str(counting.euler_characteristic(words[0]))
-    if op == "mobius-inv":
-        from .involutions import mobius_involution_ideal
-
-        return str(mobius_involution_ideal(words[0]))
-    if op == "heyting":
-        from .heyting import relative_pseudocomplement
-
-        return format_permutation(relative_pseudocomplement(*words))
-    if op == "pseudo":
-        from .heyting import pseudocomplement
-
-        return format_permutation(pseudocomplement(words[0]))
-    from . import orders
-
-    if op == "meet":
-        return format_permutation(orders.meet(*words))
-    if op == "join":
-        return format_permutation(orders.join(*words))
-    if op == "mobius":
-        return str(orders.mobius_middle(*words))
-    return "\n".join(format_permutation(w) for w in orders.upper_covers(words[0]))
+    names, parse, module, function, show, _ = QUERIES[op]
+    arity = len(names.split())
+    if len(args) != arity:
+        raise ValueError(f"{op} takes {arity} argument(s), got {len(args)}")
+    return show(_imported(module, function)(*map(parse, args)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import math
 from functools import lru_cache
 
-from .permutations import Perm, all_permutations, check_size, inversion_pair, inversion_sequence
+from .permutations import Perm, check_size, inversion_pair, inversion_sequence
 
 COUNTING_LIMIT = 50
 
@@ -141,13 +141,10 @@ def euler_characteristic(w: Perm) -> int:
 
 
 def euler_distribution(n: int) -> tuple[int, ...]:
-    """Histogram of the Euler characteristic over S_n; entry k equals
-    c(n, n-k); ValueError from all_permutations beyond n = 10."""
-    perms = all_permutations(n)
-    counts = [0] * n
-    for w in perms:
-        counts[euler_characteristic(w)] += 1
-    return tuple(counts)
+    """Histogram of the Euler characteristic over S_n: entry k, the number
+    of w with k right-to-left non-minima, is c(n, n-k)."""
+    check_size(n, most=COUNTING_LIMIT)
+    return _stirling_columns(n, n + 1)[:0:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +161,7 @@ def table_rows(kind: str, n: int) -> list[tuple[int, tuple[int, ...]]]:
     if kind == "boolean":
         return [(m, boolean_by_rank(m)) for m in range(1, n + 1)]
     if kind == "euler":
-        return [(m, _stirling_columns(m, m + 1)[:0:-1]) for m in range(1, n + 1)]
+        return [(m, euler_distribution(m)) for m in range(1, n + 1)]
     if kind == "stirling":
         return [(m, _stirling_columns(m, m + 1)) for m in range(1, n + 1)]
     raise ValueError(f"unknown table kind {kind!r}")

@@ -9,6 +9,7 @@ boolean algebra of rank n-1.
 """
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 from .orders import middle_subposet
@@ -53,13 +54,9 @@ def regular_elements(n: int) -> list[Perm]:
     """The 2^(n-1) regular elements, ordered by inversion sequence;
     ValueError beyond n = 22, where 2^(n-1) would exceed 10!."""
     check_size(n, most=22, why="2^(n-1) would exceed 10!")
-    out = []
-    for bits in range(2 ** (n - 1)):
-        coords = [0] + [
-            (i - 1) if bits >> (i - 2) & 1 else 0 for i in range(2, n + 1)
-        ]
-        out.append(_decode(tuple(coords)))
-    return sorted(out, key=inversion_sequence)
+    # Coordinate i is 0 or i - 1, so the product yields the codes in order.
+    choices = [(0,)] + [(0, i - 1) for i in range(2, n + 1)]
+    return [_decode(x) for x in itertools.product(*choices)]
 
 
 def regular_subposet(n: int) -> FinitePoset:

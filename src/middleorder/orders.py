@@ -185,20 +185,6 @@ def cover_mesh_witness(v: Perm, w: Perm) -> Optional[tuple[int, int]]:
 # Weak and Bruhat orders
 
 
-def weak_covers(v: Perm, w: Perm) -> bool:
-    """True iff w is v with two adjacent positions holding an ascent swapped."""
-    v, w = validate_pair(v, w)
-    pair = _swapped_rise(v, w)
-    return pair is not None and pair[1] == pair[0] + 1
-
-
-def bruhat_covers(v: Perm, w: Perm) -> bool:
-    """True iff w is v with one noninversion turned into an inversion and
-    the inversion count goes up by exactly one."""
-    v, w = validate_pair(v, w)
-    return _swapped_rise(v, w) is not None and rank(w) == rank(v) + 1
-
-
 def weak_leq(v: Perm, w: Perm) -> bool:
     """Reads the weak order on S_n, built once per n; ValueError for n > 7."""
     v, w = validate_pair(v, w)

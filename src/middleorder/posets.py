@@ -339,11 +339,11 @@ class FinitePoset:
             above.append(mask)
         return FinitePoset([self.labels[i] for i in idx], above)
 
-    def are_isomorphic(self, other: "FinitePoset", size_limit: int = ISO_SIZE_LIMIT) -> bool:
+    def are_isomorphic(self, other: "FinitePoset") -> bool:
         if self.n != other.n:
             return False
-        if max(self.n, other.n) > size_limit:
-            raise PosetError(f"isomorphism search capped at {size_limit} elements")
+        if self.n > ISO_SIZE_LIMIT:
+            raise PosetError(f"isomorphism search capped at {ISO_SIZE_LIMIT} elements")
         mine = self._refined_colors()
         theirs = other._refined_colors()
         if sorted(mine) != sorted(theirs):

@@ -122,6 +122,12 @@ def test_euler_distribution_is_stirling(n):
     assert sum(dist) == math.factorial(n)
 
 
+def test_euler_distribution_reaches_the_counting_limit():
+    dist = euler_distribution(50)
+    assert sum(dist) == math.factorial(50)
+    assert dist == tuple(stirling_first_unsigned(50, 50 - k) for k in range(50))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_euler_is_a_valuation(n):
     for v in all_permutations(n):
@@ -137,7 +143,7 @@ def test_limits_enforced():
     with pytest.raises(ValueError):
         interval_count_total(51)
     with pytest.raises(ValueError):
-        euler_distribution(11)
+        euler_distribution(51)
 
 
 # -- export formats -------------------------------------------------------------

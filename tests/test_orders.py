@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from middleorder.orders import (
-    bruhat_covers,
     bruhat_leq,
     bruhat_poset,
     cover_mesh_witness,
@@ -16,7 +15,6 @@ from middleorder.orders import (
     mobius_middle,
     rank,
     upper_covers,
-    weak_covers,
     weak_leq,
     weak_poset,
 )
@@ -193,14 +191,6 @@ def test_gradedness(n):
     assert graded
     poset = middle_poset(n)
     assert all(ranks[i] == rank(poset.labels[i]) for i in range(poset.n))
-
-
-def test_weak_and_bruhat_cover_predicates():
-    assert weak_covers((1, 2, 3), (2, 1, 3))
-    assert not weak_covers((1, 2, 3), (3, 2, 1))
-    assert bruhat_covers((1, 3, 2), (3, 1, 2))
-    assert not bruhat_covers((1, 2, 3), (3, 2, 1))
-    assert not bruhat_covers((1, 2, 3), (2, 3, 1))
 
 
 def test_size_mismatch_rejected():

@@ -25,7 +25,7 @@ OVER_BUDGET = {
     "boolean_by_rank": {"n": 51},
     "boolean_interval_total": {"n": 51},
     "covering_relation_count": {"n": 51},
-    "euler_distribution": {"n": 11},
+    "euler_distribution": {"n": 51},
     "identity": {"n": 10**6 + 1},
     "interval_count_total": {"n": 51},
     "intervals_by_rank": {"n": 51},
