@@ -25,8 +25,7 @@ _HOMES = {
     ),
     "orders": (
         "bruhat_leq", "cover_mesh_witness", "join", "join_irreducibles", "meet",
-        "middle_covers", "middle_leq", "middle_poset", "mobius_middle", "rank",
-        "upper_covers", "weak_leq",
+        "middle_leq", "middle_poset", "mobius_middle", "rank", "upper_covers", "weak_leq",
     ),
     "parking": ("TOP", "all_parking_functions", "is_parking_function", "pf_join", "pf_leq", "pf_meet"),
     "permutations": (

@@ -78,13 +78,6 @@ def _codes_leq(x: InvSeq, y: InvSeq) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
-def middle_covers(v: Perm, w: Perm) -> bool:
-    """True iff the inversion sequences differ by +1 in exactly one coordinate."""
-    x, y = inversion_pair(v, w)
-    diffs = [b - a for a, b in zip(x, y)]
-    return diffs.count(0) == len(x) - 1 and diffs.count(1) == 1
-
-
 def meet(v: Perm, w: Perm) -> Perm:
     x, y = inversion_pair(v, w)
     return _decode(tuple(min(a, b) for a, b in zip(x, y)))
@@ -107,9 +100,10 @@ def upper_covers(w: Perm) -> list[Perm]:
     smaller than i to its left (the shaded rise of MIDDLE_RISE); it
     exists exactly when x_i < i - 1.  One monotone-stack pass finds
     those values, so the cost is O(n) plus the n-entry copy per cover.
+    ValueError beyond n = 4,096, where the covers would take ~134 MB.
     """
     w = validate_permutation(w)
-    n = len(w)
+    n = check_size(len(w), most=4096, why="n - 1 covers of n entries")
     pos = [0] * (n + 1)
     # left_smaller[v] = nearest value smaller than v to its left, 0 if none
     left_smaller = [0] * (n + 1)

@@ -15,13 +15,16 @@ w -> I(w) is a bijection from S_n onto the full box of such vectors.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 InvSeq = tuple[int, ...]
-_RUN_BITS = 10  # _encode keeps the values it has seen in sorted runs of 2**_RUN_BITS
+# _encode marks the values it has seen in one bitmask per run of 2**_RUN_BITS
+# values; _decode keeps the word in runs of 2**_RUN_BITS to 2**(_RUN_BITS + 1)
+# entries once it has more than _DECODE_RUNS_FROM of them
+_RUN_BITS = 10
+_DECODE_RUNS_FROM = 3 << _RUN_BITS  # where the runs start to beat one list
 
 
 def validate_permutation(word: Sequence[int]) -> Perm:
@@ -37,7 +40,7 @@ def validate_permutation(word: Sequence[int]) -> Perm:
     n = len(w)
     if n == 0:
         raise ValueError("permutations of size 0 are not supported")
-    if set(map(type, w)) != {int} or sorted(w) != list(range(1, n + 1)):
+    if set(map(type, w)) != {int} or set(w) != set(range(1, n + 1)):
         raise ValueError(f"not a permutation of {{1..{n}}}: {w!r}")
     return w
 
@@ -110,22 +113,25 @@ def inversion_sequence(w: Perm) -> InvSeq:
 def _encode(w: Perm) -> InvSeq:
     """inversion_sequence of an already validated permutation, in O(n log n).
 
-    Scans w from right to left, keeping the values seen in sorted runs of
-    1,024 (v in run v >> _RUN_BITS): x_v is v's bisect position in its run
-    plus the seen values in lower runs, from a Fenwick tree over the runs.
-    A run insert moves at most 8 KB, and below n = 1,024 there is one run
-    and the tree loops never run: one C-level bisect and insert per value.
+    Scans w from right to left, marking the values seen in one bitmask per
+    run of 1,024 values (v is bit v & low of mask v >> _RUN_BITS): x_v is
+    the popcount of the bits below v's in its mask plus the seen values in
+    lower runs, from a Fenwick tree over the runs.  Below n = 1,024 there
+    is one mask and the tree loops never run: a few C-level big-int
+    operations of at most 128 bytes per value.
     """
     n = len(w)
     top = n >> _RUN_BITS
-    runs: list[list[int]] = [[] for _ in range(top + 1)]
+    low = (1 << _RUN_BITS) - 1
+    masks = [0] * (top + 1)
     tree = [0] * (top + 1)
     x = [0] * n
     for v in reversed(w):
         r = v >> _RUN_BITS
-        run = runs[r]
-        k = bisect_left(run, v)
-        run.insert(k, v)
+        bit = 1 << (v & low)
+        mask = masks[r]
+        k = (mask & (bit - 1)).bit_count()
+        masks[r] = mask | bit
         i = r
         while i:
             k += tree[i]
@@ -158,11 +164,69 @@ def from_inversion_sequence(coords: Sequence[int]) -> Perm:
 
 
 def _decode(x: InvSeq) -> Perm:
-    """from_inversion_sequence of an already validated sequence."""
+    """from_inversion_sequence of an already validated sequence.
+
+    Up to _DECODE_RUNS_FROM values, value i is inserted into one list, at
+    Theta(n^2) C-level element moves that stay cheap while the list is
+    short; longer sequences go to _decode_in_runs.
+    """
+    if len(x) > _DECODE_RUNS_FROM:
+        return _decode_in_runs(x)
     word: list[int] = []
     for i, xi in enumerate(x, start=1):
         word.insert(len(word) - xi, i)
     return tuple(word)
+
+
+def _decode_in_runs(x: InvSeq) -> Perm:
+    """_decode of a sequence longer than _DECODE_RUNS_FROM.
+
+    The first _DECODE_RUNS_FROM values are decoded into one list and cut
+    into runs of 1,024.  Each later value i goes to index (i - 1) - x_i
+    of the word, in the run found by a descent of a Fenwick tree over the
+    run lengths.  A run that reaches 2,048 entries splits in half, and
+    the tree is rebuilt: O(n log n) steps plus n / 1,024 rebuilds of
+    O(n / 1,024) each.
+    """
+    half = 1 << _RUN_BITS
+    head = _decode(x[:_DECODE_RUNS_FROM])
+    runs = [list(head[k:k + half]) for k in range(0, _DECODE_RUNS_FROM, half)]
+    tree, step = _length_tree(runs)
+    m = len(runs)
+    for i, xi in enumerate(x[_DECODE_RUNS_FROM:], start=_DECODE_RUNS_FROM + 1):
+        # descend to run r and index p in it, 0 < p <= len(run) unless p = 0
+        p = i - 1 - xi
+        r = 0
+        j = step
+        while j:
+            if r + j <= m and tree[r + j] < p:
+                r += j
+                p -= tree[r]
+            j >>= 1
+        run = runs[r]
+        run.insert(p, i)
+        if len(run) == 2 * half:
+            runs[r:r + 1] = run[:half], run[half:]
+            tree, step = _length_tree(runs)
+            m += 1
+        else:
+            r += 1
+            while r <= m:
+                tree[r] += 1
+                r += r & -r
+    return tuple(itertools.chain.from_iterable(runs))
+
+
+def _length_tree(runs: list[list[int]]) -> tuple[list[int], int]:
+    """A Fenwick tree (1-based) of the run lengths, built in O(len(runs)),
+    and the largest power of two at most len(runs), where a descent starts."""
+    m = len(runs)
+    tree = [0, *map(len, runs)]
+    for j in range(1, m + 1):
+        k = j + (j & -j)
+        if k <= m:
+            tree[k] += tree[j]
+    return tree, 1 << (m.bit_length() - 1)
 
 
 def all_inversion_sequences(n: int) -> Iterator[InvSeq]:

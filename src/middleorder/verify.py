@@ -108,7 +108,7 @@ def inversion_sequence_by_counting(w) -> tuple[int, ...]:
     appear after i in w, in O(n^2) steps."""
     x = [0] * len(w)
     for p, i in enumerate(w):
-        x[i - 1] = sum(1 for j in w[p + 1:] if j < i)
+        x[i - 1] = len([j for j in w[p + 1:] if j < i])
     return tuple(x)
 
 

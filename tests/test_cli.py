@@ -137,6 +137,7 @@ def test_query_errors_exit_2(runner):
         ("query", "meet", "123"),
         ("query", "meet", "123", "4321"),
         ("query", "mobius-inv", "231"),
+        ("query", "covers", ",".join(map(str, range(1, 4098)))),
     ):
         assert invoke(runner, *args).exit_code == 2
 

@@ -8,7 +8,6 @@ from middleorder.orders import (
     join,
     join_irreducibles,
     meet,
-    middle_covers,
     middle_leq,
     middle_poset,
     middle_subposet,
@@ -136,7 +135,8 @@ def test_rank_is_inversion_count():
 def test_covers_raise_rank_by_one(n):
     for v in all_permutations(n):
         for w in upper_covers(v):
-            assert middle_covers(v, w)
+            steps = [b - a for a, b in zip(inversion_sequence(v), inversion_sequence(w))]
+            assert sorted(steps) == [0] * (n - 1) + [1]
             assert rank(w) == rank(v) + 1
             assert middle_leq(v, w)
 
@@ -150,7 +150,6 @@ def test_cover_mesh_witness_characterizes_covers(n):
             if w in covering:
                 j, i = witness
                 assert j < i
-                assert middle_covers(v, w)
             else:
                 assert witness is None
 
@@ -161,7 +160,8 @@ def test_join_irreducibles_count_and_shape():
         assert len(ji) == n * (n - 1) // 2
         assert len(set(ji)) == len(ji)
         for w in ji:
-            assert sum(1 for v in all_permutations(n) if middle_covers(v, w)) == 1
+            assert sum(1 for v in all_permutations(n)
+                       if cover_mesh_witness(v, w) is not None) == 1
 
 
 def test_mobius_closed_form_values():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from middleorder.permutations import (
+    _DECODE_RUNS_FROM,
     _RUN_BITS,
     MeshPattern,
     all_inversion_sequences,
@@ -75,8 +76,8 @@ def test_round_trip_at_large_n():
     assert from_inversion_sequence(x) == w
 
 
-# The encoder keeps the values it has seen in sorted runs of RUN values;
-# these sizes end the word just below, at and just past a run edge.
+# The encoder marks the values it has seen in one bitmask per run of RUN
+# values; these sizes end the word just below, at and just past a run edge.
 RUN = 2**_RUN_BITS
 
 
@@ -94,6 +95,33 @@ def test_encode_across_three_full_runs(word):
     assert inversion_sequence(w) == inversion_sequence_by_counting(w)
 
 
+# Past START values the decoder keeps the word in runs of RUN to 2 * RUN
+# entries; START + 1 = 3 * RUN + 1 is the first size that decodes in runs.
+START = _DECODE_RUNS_FROM
+
+
+@pytest.mark.parametrize("n", [START - 1, START, START + 1])
+def test_decode_where_the_run_phase_starts(n):
+    rng = random.Random(n)
+    x = tuple(rng.randrange(i) for i in range(1, n + 1))
+    assert inversion_sequence_by_counting(from_inversion_sequence(x)) == x
+
+
+@pytest.mark.parametrize("end", ["front", "back"])
+def test_decode_past_a_run_split(end):
+    # every value past START goes into the first or the last run, which
+    # reaches 2 * RUN entries and splits at value START + RUN; then the last
+    # value goes to the very front or end of the word
+    n = START + RUN + 1
+    rng = random.Random(n)
+    x = [rng.randrange(i) for i in range(1, START + 1)]
+    for i in range(START + 1, n):
+        index = rng.randrange(RUN) if end == "front" else i - 1 - rng.randrange(RUN)
+        x.append(i - 1 - index)
+    x = (*x, n - 1 if end == "front" else 0)
+    assert inversion_sequence_by_counting(from_inversion_sequence(x)) == x
+
+
 @given(perms)
 def test_inverse_is_involutive(w):
     assert inverse(inverse(w)) == w
@@ -106,6 +134,10 @@ def test_validation_rejects_garbage():
         validate_permutation((1, 1, 2))
     with pytest.raises(ValueError):
         validate_permutation((0, 1))
+    # the right length with a value missing, or with one far out of range
+    for word in ((1, 3), (1, 2, 4), (3, 1), (1, 2**70)):
+        with pytest.raises(ValueError):
+            validate_permutation(word)
     # bools and floats compare equal to ints but are not permutation entries
     for word in ((True,), (True, 2), (2.0, 1.0)):
         with pytest.raises(ValueError):

@@ -5,13 +5,14 @@ ValueError.  Nothing here attempts the oversized work or times anything."""
 import inspect
 import itertools
 import math
+import sys
 
 import pytest
 
 import middleorder
 from middleorder import MeshPattern, heyting, involutions, orders, parking, posets
 from middleorder.involutions import all_involutions, involution_count
-from middleorder.permutations import check_size
+from middleorder.permutations import check_size, identity, long_element
 from middleorder.posets import POSET_SIZE_LIMIT
 
 MALFORMED = (True, 2.0, math.nan, None, "3", -1)
@@ -73,6 +74,15 @@ def test_refusal_names_the_bound_and_never_prints_a_huge_n():
     assert check_size(0, least=0) == 0
 
 
+def test_upper_covers_refuses_a_word_whose_covers_pass_its_budget():
+    most = 4096
+    # n - 1 covers, each a tuple of n pointers: ~134 MB at the bound
+    assert (most - 1) * sys.getsizeof((0,) * most) < 135 * 10**6
+    assert orders.upper_covers(long_element(most)) == []  # the top has no covers
+    with pytest.raises(ValueError, match=r"in \[1, 4096\] \(n - 1 covers of n entries\)"):
+        orders.upper_covers(identity(most + 1))
+
+
 # Each public name that takes a word, a vector or a mesh pattern: a valid
 # value for each such argument.
 WORDS = {
@@ -94,7 +104,6 @@ WORDS = {
     "maximal_slow_climbing_below": {"w": (2, 1)},
     "meet": {"v": (1, 2), "w": (2, 1)},
     "mesh_contains": {"w": (2, 1), "m": MeshPattern((1,))},
-    "middle_covers": {"v": (1, 2), "w": (2, 1)},
     "middle_leq": {"v": (1, 2), "w": (2, 1)},
     "mobius_involution_ideal": {"w": (2, 1)},
     "mobius_middle": {"v": (1, 2), "w": (2, 1)},
