@@ -25,9 +25,8 @@ from .permutations import (
 if TYPE_CHECKING:
     from .posets import FinitePoset
 
-DIAGRAM_LIMIT = 5
-# Largest --limit: parking_poset(6), 16,808 elements, prints in ~2 s at ~130 MB.
-DIAGRAM_CEILING = 6
+# Largest n drawn: parking_poset(6), 16,808 elements, prints in ~2 s at ~130 MB.
+DIAGRAM_LIMIT = 6
 
 
 @click.group()
@@ -107,12 +106,10 @@ def _node_text(label, order: str, style: str) -> str:
     show_default=True,
     help="Node labels: one-line notation or inversion sequence.",
 )
-@click.option("--limit", type=click.IntRange(1, DIAGRAM_CEILING), default=DIAGRAM_LIMIT,
-              show_default=True, help="Largest n accepted.")
-def cmd_hasse(order: str, n: int, style: str, limit: int) -> None:
-    """Print the Hasse diagram of an order as a DOT digraph."""
-    if n > limit:
-        raise click.UsageError(f"n = {n} exceeds the diagram limit {limit}")
+def cmd_hasse(order: str, n: int, style: str) -> None:
+    """Print the Hasse diagram of an order as a DOT digraph, for n up to 6."""
+    if n > DIAGRAM_LIMIT:
+        raise click.UsageError(f"n = {n} exceeds the diagram limit {DIAGRAM_LIMIT}")
     try:
         poset = _build_poset(order, n)
     except ValueError as exc:

@@ -40,7 +40,8 @@ def validate_permutation(word: Sequence[int]) -> Perm:
     n = len(w)
     if n == 0:
         raise ValueError("permutations of size 0 are not supported")
-    if set(map(type, w)) != {int} or set(w) != set(range(1, n + 1)):
+    # With every entry an int, n distinct values from 1 to n are exactly {1..n}.
+    if set(map(type, w)) != {int} or len(set(w)) != n or min(w) != 1 or max(w) != n:
         raise ValueError(f"not a permutation of {{1..{n}}}: {w!r}")
     return w
 

@@ -553,18 +553,14 @@ def diamond() -> FinitePoset:
 
 
 def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    labels = [(a, b) for a in p.labels for b in q.labels]
-    above = []
-    for a in p.labels:
-        ia = p.index_of(a)
-        for b in q.labels:
-            ib = q.index_of(b)
-            mask = 0
-            for k, (c, d) in enumerate(labels):
-                if p.leq(ia, p.index_of(c)) and q.leq(ib, q.index_of(d)):
-                    mask |= 1 << k
-            above.append(mask)
-    return FinitePoset(labels, above)
+    """The pairs (a, b) ordered coordinatewise; PosetError, before any
+    pair is built, beyond POSET_SIZE_LIMIT elements."""
+    if p.n * q.n > POSET_SIZE_LIMIT:
+        raise PosetError(f"{p.n * q.n} elements exceed the limit of {POSET_SIZE_LIMIT}")
+    return FinitePoset.from_leq(
+        [(a, b) for a in p.labels for b in q.labels],
+        lambda s, t: p.leq_labels(s[0], t[0]) and q.leq_labels(s[1], t[1]),
+    )
 
 
 def chain_product(sizes: Sequence[int]) -> FinitePoset:

@@ -12,8 +12,10 @@ suite compares two implementations that share no code.
 
 Each suite is a table of Check entries, each declaring once the first
 size and the hard cap of one check; a suite returns the CheckResult
-records of its checks, and passes when every record does.  Failures
-carry a counterexample in the detail field.  n_max lowers the cap of
+records of its checks, and passes when every record does.  A check
+that searches a family goes through _holds: a failing check's detail
+is the repr of the first counterexample found.  A check that compares
+two computed values may show the value it got.  n_max lowers the cap of
 every sized check and never raises one; an entry with first = cap = 1
 does not depend on n and runs once, whatever n_max is.
 """
@@ -24,7 +26,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import counting, heyting, involutions, orders, parking, posets
 from .permutations import (
@@ -68,6 +70,14 @@ class CheckResult(NamedTuple):
 
 def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(ok), "" if ok else detail)
+
+
+def _holds(name: str, counterexamples: Iterable) -> CheckResult:
+    """Passes when counterexamples yields nothing; otherwise fails with
+    the repr of the first item, drawing no other."""
+    for bad in counterexamples:
+        return CheckResult(name, False, repr(bad))
+    return CheckResult(name, True)
 
 
 class Check(NamedTuple):
@@ -209,32 +219,26 @@ def _rise_transpositions(v) -> dict:
 
 def _encode_checks(n: int) -> list[CheckResult]:
     # One encode of each w serves both checks.
-    bad_code = bad_minima = None
-    for w in all_permutations(n):
-        x = inversion_sequence(w)
-        if bad_code is None and x != inversion_sequence_by_counting(w):
-            bad_code = w
-        zeros = {i for i in range(1, n + 1) if x[i - 1] == 0}
-        if bad_minima is None and right_to_left_minima(w) != zeros:
-            bad_minima = w
+    perms = all_permutations(n)
+    codes = list(map(inversion_sequence, perms))
     return [
-        _check(f"encode matches the definition n={n}", bad_code is None, f"w={bad_code}"),
-        _check(f"RL-minima are the zero coordinates n={n}",
-               bad_minima is None, f"w={bad_minima}"),
+        _holds(f"encode matches the definition n={n}",
+               (w for w, x in zip(perms, codes) if x != inversion_sequence_by_counting(w))),
+        _holds(f"RL-minima are the zero coordinates n={n}",
+               (w for w, x in zip(perms, codes)
+                if right_to_left_minima(w) != {i for i, c in enumerate(x, 1) if c == 0})),
     ]
 
 
 def _foata_check(n: int) -> list[CheckResult]:
-    images = set()
-    bad = None
-    for w in all_permutations(n):
-        img = foata_image(w)
-        images.add(img)
-        if cycle_count(w) != len(right_to_left_minima(img)):
-            bad = w
-            break
-    ok = bad is None and len(images) == math.factorial(n)
-    return [_check(f"Foata bijection n={n}", ok, f"w={bad}")]
+    # first_with maps each image to the first w that has it, so a w whose
+    # image repeats an earlier one is a counterexample too.
+    first_with = {}
+    return [_holds(f"Foata bijection n={n}", (
+        w for w in all_permutations(n)
+        if first_with.setdefault(img := foata_image(w), w) != w
+        or cycle_count(w) != len(right_to_left_minima(img))
+    ))]
 
 
 BIJECTION = (
@@ -258,24 +262,19 @@ def _sandwich_checks(n: int) -> list[CheckResult]:
     middle = orders.middle_poset(n)._above
     bruhat = orders.bruhat_poset(n)._above
     perms = all_permutations(n)
-    index = {w: i for i, w in enumerate(perms)}
-    ok_wm = all(weak[i] & ~middle[i] == 0 for i in range(len(perms)))
-    ok_mb = all(middle[i] & ~bruhat[i] == 0 for i in range(len(perms)))
 
-    avoiders_213 = [w for w in perms if avoids_classical(w, (2, 1, 3))]
-    mask_213 = sum(1 << index[w] for w in avoiders_213)
-    ok_213 = all(middle[index[w]] & mask_213 == bruhat[index[w]] & mask_213
-                 for w in avoiders_213)
+    def differs_on_avoiders(pattern, other):
+        avoiders = [i for i, w in enumerate(perms) if avoids_classical(w, pattern)]
+        mask = sum(1 << i for i in avoiders)
+        return (perms[i] for i in avoiders if (middle[i] ^ other[i]) & mask)
 
-    avoiders_132 = [w for w in perms if avoids_classical(w, (1, 3, 2))]
-    mask_132 = sum(1 << index[w] for w in avoiders_132)
-    ok_132 = all(middle[index[w]] & mask_132 == weak[index[w]] & mask_132
-                 for w in avoiders_132)
     return [
-        _check(f"weak refined by middle n={n}", ok_wm),
-        _check(f"middle refined by Bruhat n={n}", ok_mb),
-        _check(f"middle = Bruhat on 213-avoiders n={n}", ok_213),
-        _check(f"middle = weak on 132-avoiders n={n}", ok_132),
+        _holds(f"weak refined by middle n={n}",
+               (w for i, w in enumerate(perms) if weak[i] & ~middle[i])),
+        _holds(f"middle refined by Bruhat n={n}",
+               (w for i, w in enumerate(perms) if middle[i] & ~bruhat[i])),
+        _holds(f"middle = Bruhat on 213-avoiders n={n}", differs_on_avoiders((2, 1, 3), bruhat)),
+        _holds(f"middle = weak on 132-avoiders n={n}", differs_on_avoiders((1, 3, 2), weak)),
     ]
 
 
@@ -304,8 +303,7 @@ def _cover_characterizations(n: int) -> list[CheckResult]:
     # The direct cover definitions: a weak cover swaps a rise in adjacent
     # positions, a Bruhat cover a rise whose swap adds exactly one
     # inversion (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.1).
-    bad = None
-    for v in all_permutations(n):
+    def mismatches(v):
         swaps = _rise_transpositions(v)
         inversions = sum(inversion_sequence_by_counting(v))
         mid = set(orders.upper_covers(v))
@@ -320,10 +318,10 @@ def _cover_characterizations(n: int) -> list[CheckResult]:
         ]
         if any(orders.cover_mesh_witness(v, w) is None for w in mid):
             wrong.append("witness")
-        if wrong:
-            bad = (v, wrong)
-            break
-    return [_check(f"cover/mesh characterizations n={n}", bad is None, f"{bad}")]
+        return wrong
+
+    return [_holds(f"cover/mesh characterizations n={n}",
+                   ((v, wrong) for v in all_permutations(n) if (wrong := mismatches(v))))]
 
 
 MESH = (
@@ -407,23 +405,19 @@ def _oracle_interval_checks(n: int) -> list[CheckResult]:
 
 
 def _closed_formulas(_n: int) -> list[CheckResult]:
-    out = []
     limit = counting.COUNTING_LIMIT
-    bad = next((n for n in range(1, limit + 1)
-                if counting.boolean_by_rank(n) != _boolean_by_rank_recursive(n)), None)
-    out.append(_check(f"closed formula matches recursion for boolean counts to n={limit}",
-                      bad is None, f"n={bad}"))
-    bad = next((n for n in range(1, limit + 1)
-                if counting.interval_count_total(n)
-                != math.prod(math.comb(i + 2, 2) for i in range(n))), None)
-    out.append(_check(f"interval total equals prod C(i+2,2) to n={limit}",
-                      bad is None, f"n={bad}"))
-    # Stops at n = 20: intervals_by_rank up to n = 50 would double the suite's time.
-    bad = next((n for n in range(2, 21)
-                if counting.covering_relation_count(n) != Fraction(math.factorial(n))
-                * (n - sum(Fraction(1, i) for i in range(1, n + 1)))), None)
-    out.append(_check("cover count equals n!(n - H_n) to n=20", bad is None, f"n={bad}"))
-    return out
+    sizes = range(1, limit + 1)
+    return [
+        _holds(f"closed formula matches recursion for boolean counts to n={limit}",
+               (n for n in sizes if counting.boolean_by_rank(n) != _boolean_by_rank_recursive(n))),
+        _holds(f"interval total equals prod C(i+2,2) to n={limit}",
+               (n for n in sizes if counting.interval_count_total(n)
+                != math.prod(math.comb(i + 2, 2) for i in range(n)))),
+        # Stops at n = 20: intervals_by_rank up to n = 50 would double the suite's time.
+        _holds("cover count equals n!(n - H_n) to n=20",
+               (n for n in range(2, 21) if counting.covering_relation_count(n)
+                != math.factorial(n) * (n - sum(Fraction(1, i) for i in range(1, n + 1))))),
+    ]
 
 
 TABLES = (
@@ -449,25 +443,19 @@ def suite_tables(n_max: int = 8) -> list[CheckResult]:
 
 def _mobius_pairs_check(n: int) -> list[CheckResult]:
     poset = orders.middle_poset(n)
-    bad = None
-    for i, v in enumerate(poset.labels):
-        for j, w in enumerate(poset.labels):
-            if orders.mobius_middle(v, w) != poset.mobius(i, j):
-                bad = (v, w)
-                break
-        if bad:
-            break
-    return [_check(f"closed-form Moebius matches oracle on all pairs n={n}",
-                   bad is None, f"{bad}")]
+    labels = poset.labels
+    return [_holds(f"closed-form Moebius matches oracle on all pairs n={n}",
+                   ((v, w) for i, v in enumerate(labels) for j, w in enumerate(labels)
+                    if orders.mobius_middle(v, w) != poset.mobius(i, j)))]
 
 
 def _upper_covers_check(n: int) -> list[CheckResult]:
     poset = orders.middle_poset(n)
-    by_swaps = {
-        (i, poset.index_of(w)) for i, v in enumerate(poset.labels) for w in orders.upper_covers(v)
-    }
-    return [_check(f"upper covers are the covers of the coordinate order n={n}",
-                   by_swaps == poset.covers)]
+    labels = poset.labels
+    by_swaps = {(v, w) for v in labels for w in orders.upper_covers(v)}
+    by_oracle = {(labels[i], labels[j]) for i, j in poset.covers}
+    return [_holds(f"upper covers are the covers of the coordinate order n={n}",
+                   sorted(by_swaps ^ by_oracle))]
 
 
 def _distributive_lattice_check(n: int) -> list[CheckResult]:
@@ -482,12 +470,11 @@ def _distributive_lattice_check(n: int) -> list[CheckResult]:
 
 
 def _triple_scan_check(n: int) -> list[CheckResult]:
-    bad = [kind for kind, poset in (("middle", orders.middle_poset(n)),
-                                    ("weak", orders.weak_poset(n)),
-                                    ("bruhat", orders.bruhat_poset(n)))
-           if poset.is_distributive() != is_distributive_by_triples(poset)]
-    return [_check(f"distributivity certificate matches the triple scan n={n}",
-                   not bad, f"{bad}")]
+    builders = {"middle": orders.middle_poset, "weak": orders.weak_poset,
+                "bruhat": orders.bruhat_poset}
+    return [_holds(f"distributivity certificate matches the triple scan n={n}",
+                   (kind for kind, build in builders.items()
+                    if (poset := build(n)).is_distributive() != is_distributive_by_triples(poset)))]
 
 
 def _join_irreducibles_check(n: int) -> list[CheckResult]:
@@ -495,8 +482,9 @@ def _join_irreducibles_check(n: int) -> list[CheckResult]:
     poset = orders.middle_poset(n)
     lower_covers = Counter(j for _, j in poset.covers)
     by_cover = {poset.labels[j] for j, count in lower_covers.items() if count == 1}
-    ok = set(ji) == by_cover and len(ji) == n * (n - 1) // 2
-    return [_check(f"join-irreducibles are the single-cover elements n={n}", ok)]
+    miscounted = [] if len(ji) == n * (n - 1) // 2 else [("count", len(ji))]
+    return [_holds(f"join-irreducibles are the single-cover elements n={n}",
+                   sorted(set(ji) ^ by_cover) + miscounted)]
 
 
 MOBIUS = (
@@ -518,137 +506,106 @@ def suite_mobius(n_max: int = 5) -> list[CheckResult]:
 
 @lru_cache(maxsize=None)
 def _involution_codes(n: int) -> tuple[tuple[int, ...], ...]:
-    """The codes of all_involutions(n), encoded once for the two checks below."""
+    """The codes of all_involutions(n), encoded once for the checks below."""
     return tuple(inversion_sequence(w) for w in involutions.all_involutions(n))
+
+
+@lru_cache(maxsize=None)
+def _slow_climbers(n: int) -> tuple[tuple[int, ...], ...]:
+    """The slow-climbing involutions of size n, found once for the checks below."""
+    return tuple(w for w, x in zip(involutions.all_involutions(n), _involution_codes(n))
+                 if involutions.is_slow_climbing(x))
 
 
 def _generated_involutions_check(n: int) -> list[CheckResult]:
     invs = involutions.all_involutions(n)
     codes = _involution_codes(n)
-    ok = (
-        all(map(is_involution, invs))
-        and all(a < b for a, b in zip(codes, codes[1:]))
-        and len(invs) == involutions.involution_count(n)
-    )
-    return [_check(f"generated involutions are all involutions, in order n={n}", ok)]
+    # () sorts before every code, so the first involution has no predecessor to fail.
+    miscounted = [] if len(invs) == involutions.involution_count(n) else [("count", len(invs))]
+    return [_holds(f"generated involutions are all involutions, in order n={n}", itertools.chain(
+        (w for w, before, x in zip(invs, ((),) + codes, codes)
+         if not is_involution(w) or before >= x),
+        miscounted,
+    ))]
 
 
 def _involution_test_check(n: int) -> list[CheckResult]:
-    # The check above shows these codes are every involution's, in order.
-    encoded = list(_involution_codes(n))
-    accepted = [x for x in all_inversion_sequences(n) if involutions.involution_seq_check(x)]
-    wrong = set(accepted).symmetric_difference(encoded)
-    return [_check(f"inversion-sequence involution test n={n}",
-                   accepted == encoded, f"x={min(wrong, default=None)}")]
+    # The check above shows these codes are every involution's.
+    accepted = {x for x in all_inversion_sequences(n) if involutions.involution_seq_check(x)}
+    return [_holds(f"inversion-sequence involution test n={n}",
+                   sorted(accepted.symmetric_difference(_involution_codes(n))))]
 
 
 def _slow_climbing_blocks_check(n: int) -> list[CheckResult]:
-    bad = None
-    for w in involutions.all_involutions(n):
-        x = inversion_sequence(w)
-        slow = involutions.is_slow_climbing(x)
+    # A slow-climber splits into blocks 0, 1, ..., k-1 that concatenate
+    # back to it; every other code is refused.
+    def mismatch(x):
         try:
             blocks = involutions.slow_climb_decompose(x)
-            decomposed = True
-            joined = tuple(v for block in blocks for v in block)
-            if joined != x or any(b != tuple(range(len(b))) for b in blocks):
-                bad = x
-                break
         except ValueError:
-            decomposed = False
-        if slow != decomposed:
-            bad = x
-            break
-    return [_check(f"slow-climbing equals block form n={n}", bad is None, f"{bad}")]
+            return involutions.is_slow_climbing(x)
+        return (not involutions.is_slow_climbing(x) or tuple(itertools.chain(*blocks)) != x
+                or any(b != tuple(range(len(b))) for b in blocks))
+
+    return [_holds(f"slow-climbing equals block form n={n}",
+                   filter(mismatch, _involution_codes(n)))]
 
 
 def _slow_meets_check(n: int) -> list[CheckResult]:
-    bad = None
-    slow_invs = [
-        w for w in involutions.all_involutions(n)
-        if involutions.is_slow_climbing(inversion_sequence(w))
-    ]
-    for v, w in itertools.combinations(slow_invs, 2):
-        m = orders.meet(v, w)
-        if not (is_involution(m) and involutions.is_slow_climbing(inversion_sequence(m))):
-            bad = (v, w)
-            break
-    return [_check(f"meets of slow-climbers stay slow-climbing n={n}",
-                   bad is None, f"{bad}")]
+    return [_holds(f"meets of slow-climbers stay slow-climbing n={n}", (
+        (v, w) for v, w in itertools.combinations(_slow_climbers(n), 2)
+        if not (is_involution(m := orders.meet(v, w))
+                and involutions.is_slow_climbing(inversion_sequence(m)))
+    ))]
 
 
 def _one_pass_clusters_check(n: int) -> list[CheckResult]:
-    bad = next(
-        (x for x in all_inversion_sequences(n)
-         if involutions.clusters(x) != clusters_by_definition(x)),
-        None,
-    )
-    return [_check(f"one-pass clusters match the definition n={n}",
-                   bad is None, f"{bad}")]
+    return [_holds(f"one-pass clusters match the definition n={n}",
+                   (x for x in all_inversion_sequences(n)
+                    if involutions.clusters(x) != clusters_by_definition(x)))]
 
 
 def _cluster_cover_check(n: int) -> list[CheckResult]:
-    bad = None
-    for x in all_inversion_sequences(n):
-        cl = involutions.clusters(x)
-        covered = set()
-        for a, b in cl:
-            covered.update(range(a, b + 1))
+    def tiles(cl):
+        covered = {i for a, b in cl for i in range(a, b + 1)}
         nested = any(
             (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2)
             for (a1, b1), (a2, b2) in itertools.combinations(cl, 2)
         )
-        if covered != set(range(1, n + 1)) or nested:
-            bad = x
-            break
-    return [_check(f"clusters cover [1,n] and are incomparable n={n}",
-                   bad is None, f"{bad}")]
+        return covered == set(range(1, n + 1)) and not nested
+
+    return [_holds(f"clusters cover [1,n] and are incomparable n={n}",
+                   (x for x in all_inversion_sequences(n) if not tiles(involutions.clusters(x))))]
 
 
 def _maximal_slow_climbers_check(n: int) -> list[CheckResult]:
-    bad = None
-    slow_pool = [
-        v for v in involutions.all_involutions(n)
-        if involutions.is_slow_climbing(inversion_sequence(v))
-    ]
-    for w in involutions.all_involutions(n):
+    leq = orders.middle_leq
+    slow = _slow_climbers(n)
+
+    def dominates(w):
         m_w = involutions.maximal_slow_climbing_below(w)
-        below = [v for v in slow_pool if orders.middle_leq(v, w)]
-        covered = all(any(orders.middle_leq(v, m) for m in m_w) for v in below)
-        antichain = not any(
-            orders.middle_leq(a, b)
-            for a, b in itertools.permutations(m_w, 2)
-        )
-        if not (m_w and covered and antichain):
-            bad = w
-            break
-    return [_check(f"maximal slow-climbers dominate every slow-climber n={n}",
-                   bad is None, f"{bad}")]
+        covered = all(any(leq(v, m) for m in m_w) for v in slow if leq(v, w))
+        antichain = not any(leq(a, b) for a, b in itertools.permutations(m_w, 2))
+        return m_w and covered and antichain
+
+    return [_holds(f"maximal slow-climbers dominate every slow-climber n={n}",
+                   itertools.filterfalse(dominates, involutions.all_involutions(n)))]
 
 
-def _mobius_involution_check(n: int) -> CheckResult:
+def _mobius_involution_check(n: int) -> list[CheckResult]:
     poset = involutions.involution_poset(n)
     bottom = poset.index_of(identity(n))
-    bad = None
-    for i, w in enumerate(poset.labels):
-        if involutions.mobius_involution_ideal(w) != poset.mobius(bottom, i):
-            bad = w
-            break
-    return _check(f"involution Moebius closed form matches oracle n={n}",
-                  bad is None, f"w={bad}")
+    return [_holds(f"involution Moebius closed form matches oracle n={n}",
+                   (w for i, w in enumerate(poset.labels)
+                    if involutions.mobius_involution_ideal(w) != poset.mobius(bottom, i)))]
 
 
 def _boolean_ideal_check(n: int) -> list[CheckResult]:
-    bad = None
-    for w in involutions.all_involutions(n):
-        x = inversion_sequence(w)
-        if all(v in (0, 1) for v in x) and not any(
-            a == b == 1 for a, b in zip(x, x[1:])
-        ):
-            if involutions.mobius_involution_ideal(w) != orders.mobius_middle(identity(n), w):
-                bad = w
-                break
-    return [_check(f"boolean-ideal Moebius consistency n={n}", bad is None, f"{bad}")]
+    return [_holds(f"boolean-ideal Moebius consistency n={n}", (
+        w for w, x in zip(involutions.all_involutions(n), _involution_codes(n))
+        if all(v in (0, 1) for v in x) and not any(a == b == 1 for a, b in zip(x, x[1:]))
+        and involutions.mobius_involution_ideal(w) != orders.mobius_middle(identity(n), w)
+    ))]
 
 
 def _size_four_checks(n: int) -> list[CheckResult]:
@@ -668,7 +625,7 @@ INVOLUTIONS = (
     Check(1, 6, _one_pass_clusters_check),
     Check(1, 7, _cluster_cover_check),
     Check(2, 6, _maximal_slow_climbers_check),
-    Check(1, 9, lambda n: [_mobius_involution_check(n)]),
+    Check(1, 9, _mobius_involution_check),
     Check(1, 7, _boolean_ideal_check),
     Check(4, 4, _size_four_checks),
 )
@@ -693,81 +650,53 @@ def _worked_examples(_n: int) -> list[CheckResult]:
     ]
 
 
-def _heyting_max_property(n: int) -> CheckResult:
-    seqs = list(all_inversion_sequences(n))
-    bad = None
-    for x in seqs:
-        for y in seqs:
-            valid = [
-                z for z in seqs
-                if all(min(a, c) <= b for a, b, c in zip(x, y, z))
-            ]
-            best = tuple(max(col) for col in zip(*valid))
-            if best not in valid:
-                bad = (x, y)
-                break
-            expected = inversion_sequence(
-                heyting.relative_pseudocomplement(
-                    from_inversion_sequence(x), from_inversion_sequence(y)
-                )
-            )
-            if best != expected:
-                bad = (x, y)
-                break
-        if bad:
-            break
-    return _check(f"relative pseudocomplement is the scanned maximum n={n}",
-                  bad is None, f"{bad}")
-
-
-def _heyting_adjunction(n: int) -> CheckResult:
+def _heyting_arrow_checks(n: int) -> list[CheckResult]:
+    # On inversion sequences, where the middle order is coordinatewise.
     seqs = list(all_inversion_sequences(n))
     arrow = {
         (x, y): inversion_sequence(heyting.relative_pseudocomplement(
             from_inversion_sequence(x), from_inversion_sequence(y)))
         for x in seqs for y in seqs
     }
-    bad = None
-    for x in seqs:
-        for z in seqs:
-            mz = tuple(min(a, b) for a, b in zip(x, z))
-            for y in seqs:
-                lhs = all(a <= b for a, b in zip(mz, y))
-                rhs = all(a <= b for a, b in zip(z, arrow[(x, y)]))
-                if lhs != rhs:
-                    bad = (x, z, y)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    return _check(f"Heyting adjunction over all triples n={n}", bad is None, f"{bad}")
+
+    def not_the_maximum(x, y):
+        valid = [z for z in seqs if all(min(a, c) <= b for a, b, c in zip(x, y, z))]
+        best = tuple(max(col) for col in zip(*valid))
+        return best not in valid or best != arrow[x, y]
+
+    return [
+        _holds(f"relative pseudocomplement is the scanned maximum n={n}",
+               ((x, y) for x in seqs for y in seqs if not_the_maximum(x, y))),
+        _holds(f"Heyting adjunction over all triples n={n}", (
+            (x, z, y) for x in seqs for z in seqs
+            for mz in [tuple(min(a, b) for a, b in zip(x, z))] for y in seqs
+            if all(a <= b for a, b in zip(mz, y)) != all(a <= b for a, b in zip(z, arrow[x, y]))
+        )),
+    ]
 
 
 def _pseudocomplement_checks(n: int) -> list[CheckResult]:
-    inflates = listing = criteria = None
+    # One pair of pseudocomplements of each p serves all three checks.
+    negated = []
     for p in all_permutations(n):
         s = heyting.pseudocomplement(p)
-        ss = heyting.pseudocomplement(s)
-        if inflates is None and not orders.middle_leq(p, ss):
-            inflates = p
-        if listing is None and s != pseudocomplement_by_listing(p):
-            listing = p
-        avoids = avoids_classical(p, (1, 3, 2)) and avoids_classical(p, (2, 3, 1))
-        if criteria is None and not (p == ss) == heyting.is_regular(p) == avoids:
-            criteria = p
+        negated.append((p, s, heyting.pseudocomplement(s)))
     return [
-        _check(f"double negation inflates n={n}", inflates is None, f"{inflates}"),
-        _check(f"pseudocomplement matches the listing construction n={n}",
-               listing is None, f"{listing}"),
-        _check(f"double-negation, coordinate and 132/231 regularity agree n={n}",
-               criteria is None, f"{criteria}"),
+        _holds(f"double negation inflates n={n}",
+               (p for p, _, ss in negated if not orders.middle_leq(p, ss))),
+        _holds(f"pseudocomplement matches the listing construction n={n}",
+               (p for p, s, _ in negated if s != pseudocomplement_by_listing(p))),
+        _holds(f"double-negation, coordinate and 132/231 regularity agree n={n}", (
+            p for p, _, ss in negated
+            if not (p == ss) == heyting.is_regular(p)
+            == (avoids_classical(p, (1, 3, 2)) and avoids_classical(p, (2, 3, 1)))
+        )),
     ]
 
 
 HEYTING = (
     Check(1, 1, _worked_examples),
-    Check(1, 4, lambda n: [_heyting_max_property(n), _heyting_adjunction(n)]),
+    Check(1, 4, _heyting_arrow_checks),
     Check(1, 6, _pseudocomplement_checks),
     Check(1, 8, lambda n: [_check(f"2^(n-1) regular elements n={n}",
                                   len(heyting.regular_elements(n)) == 2 ** (n - 1))]),
@@ -786,39 +715,22 @@ def suite_heyting(n_max: int = 6) -> list[CheckResult]:
 
 
 def _simulation_checks(n: int) -> list[CheckResult]:
-    bad = None
-    parked = []
-    for p in itertools.product(range(1, n + 1), repeat=n):
-        parks = parking_simulation(p)
-        if parking.is_parking_function(p) != parks:
-            bad = p
-            break
-        if parks:
-            parked.append(p)
-    first_diff = next(
-        (pair for pair in itertools.zip_longest(parking._parking_functions(n), parked)
-         if pair[0] != pair[1]),
-        None,
-    )
+    simulated = [(p, parking_simulation(p)) for p in itertools.product(range(1, n + 1), repeat=n)]
+    parked = [p for p, parks in simulated if parks]
     return [
-        _check(f"sorted criterion matches car simulation n={n}", bad is None, f"{bad}"),
-        _check(f"generator yields the parking candidates in order n={n}",
-               bad is None and first_diff is None,
-               f"(generated, parked)={first_diff}"),
+        _holds(f"sorted criterion matches car simulation n={n}",
+               (p for p, parks in simulated if parking.is_parking_function(p) != parks)),
+        # Each counterexample is a pair (generated, parked).
+        _holds(f"generator yields the parking candidates in order n={n}",
+               (pair for pair in itertools.zip_longest(parking._parking_functions(n), parked)
+                if pair[0] != pair[1])),
     ]
 
 
 def _rearrangements_check(n: int) -> list[CheckResult]:
-    bad = None
-    for p in parking.all_parking_functions(n):
-        if any(
-            not parking_simulation(r)
-            for r in set(itertools.permutations(p))
-        ):
-            bad = p
-            break
-    return [_check(f"rearrangements of parking functions park n={n}",
-                   bad is None, f"{bad}")]
+    return [_holds(f"rearrangements of parking functions park n={n}",
+                   (p for p in parking.all_parking_functions(n)
+                    if not all(map(parking_simulation, set(itertools.permutations(p))))))]
 
 
 def _parking_lattice_checks(n: int) -> list[CheckResult]:
@@ -841,10 +753,6 @@ def _pentagon_witness_checks(n: int) -> list[CheckResult]:
     leq = parking.pf_leq
     sub = posets.FinitePoset.from_leq(elements, leq)
     members = set(elements)
-    closed = all(
-        parking.pf_meet(a, b) in members and parking.pf_join(a, b) in members
-        for a, b in itertools.combinations(elements, 2)
-    )
     relations = (
         top is parking.TOP
         and all(parking.is_parking_function(p) for p in (bottom, side, low, high))
@@ -857,7 +765,9 @@ def _pentagon_witness_checks(n: int) -> list[CheckResult]:
     return [
         _check(f"pentagon witness is isomorphic to N5 n={n}",
                sub.are_isomorphic(posets.pentagon())),
-        _check(f"pentagon witness is closed under meet and join n={n}", closed),
+        _holds(f"pentagon witness is closed under meet and join n={n}",
+               ((a, b) for a, b in itertools.combinations(elements, 2)
+                if not {parking.pf_meet(a, b), parking.pf_join(a, b)} <= members)),
         _check(f"pentagon witness has the N5 relations n={n}", relations),
     ]
 

@@ -120,7 +120,7 @@ def test_criterion_06_mobius_closed_form():
 
 def test_criterion_07_involution_mobius_theorem():
     for n in range(1, 10):
-        result = verify._mobius_involution_check(n)
+        [result] = verify._mobius_involution_check(n)
         assert result.ok, result
     report(7, "involution-ideal Moebius equals the subposet oracle for n = 1..9")
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from middleorder import verify
+from middleorder import cli, verify
 from middleorder.cli import main
 from middleorder.posets import FinitePoset
 
@@ -96,12 +96,14 @@ def test_hasse_refuses_size_zero_for_every_order(runner):
         assert result.exit_code == 2 and "n must be in [1, " in result.output, order
 
 
-def test_hasse_limit(runner):
-    assert invoke(runner, "hasse", "--order", "middle", "--n", "6").exit_code == 2
-    deep = invoke(runner, "hasse", "--order", "regular", "--n", "6", "--limit", "6")
-    assert deep.exit_code == 0
-    # A limit above the ceiling fails even for a diagram within it.
-    assert invoke(runner, "hasse", "--order", "middle", "--n", "1", "--limit", "7").exit_code == 2
+def test_hasse_limit(runner, monkeypatch):
+    assert invoke(runner, "hasse", "--order", "regular", "--n", "6").exit_code == 0
+    # middle_poset(7) exists; the diagram limit refuses it before it is built.
+    monkeypatch.setattr(cli, "_build_poset", None)
+    deep = invoke(runner, "hasse", "--order", "middle", "--n", "7")
+    assert deep.exit_code == 2 and "exceeds the diagram limit 6" in deep.output
+    unknown = invoke(runner, "hasse", "--order", "middle", "--n", "1", "--limit", "6")
+    assert unknown.exit_code == 2 and "No such option" in unknown.output
 
 
 # -- query --------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import middleorder
-from middleorder import heyting, involutions, verify
+from middleorder import heyting, involutions, orders, verify
 from middleorder.permutations import from_inversion_sequence, inversion_sequence
 
 PACKAGE = Path(middleorder.__file__).resolve().parent
@@ -92,6 +92,54 @@ def test_each_check_is_declared_once_with_its_sizes():
         assert max(c.cap for c in table) == reach, suite
 
 
+def test_every_search_goes_through_holds():
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Break)]
+    builders = {
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "CheckResult"
+    }
+    assert builders == {"_check", "_holds"}
+
+
+def test_holds_reports_the_first_counterexample_only():
+    assert verify._holds("empty", []) == ("empty", True, "")
+    assert verify._holds("pairs", [(1, 2), (3, 4)]) == ("pairs", False, "(1, 2)")
+
+    def one_then_raise():
+        yield "first"
+        raise AssertionError("a second item was drawn")
+
+    assert verify._holds("lazy", one_then_raise()) == ("lazy", False, "'first'")
+
+
+def failures(results):
+    return [(r.name, r.detail) for r in results if not r.ok]
+
+
+def test_a_wrong_moebius_value_is_named_by_its_pair(monkeypatch):
+    honest = orders.mobius_middle
+    pair = ((1, 2, 3), (2, 3, 1))
+    monkeypatch.setattr(orders, "mobius_middle", lambda v, w: honest(v, w) + ((v, w) == pair))
+    assert failures(verify.suite_mobius(3)) == [
+        ("closed-form Moebius matches oracle on all pairs n=3", repr(pair))
+    ]
+
+
+def test_a_broken_sandwich_is_named_by_its_first_w(monkeypatch):
+    monkeypatch.setattr(orders, "bruhat_poset", orders.weak_poset)
+    assert ("middle refined by Bruhat n=3", "(1, 3, 2)") in failures(verify.suite_sandwich(3))
+
+
+def test_a_dropped_upper_cover_is_named(monkeypatch):
+    honest = orders.upper_covers
+    monkeypatch.setattr(orders, "upper_covers",
+                        lambda w: honest(w)[1:] if w == (2, 1, 3) else honest(w))
+    assert ("upper covers are the covers of the coordinate order n=3",
+            "((2, 1, 3), (2, 3, 1))") in failures(verify.suite_mobius(3))
+
+
 def test_n_max_bounds_every_sized_check():
     for n_max in range(1, 5):
         sizes = [
@@ -113,9 +161,14 @@ def test_heyting_adjunction_checks_the_library_arrow(monkeypatch):
         return from_inversion_sequence(
             tuple(i if a < b else b for i, (a, b) in enumerate(zip(x, y))))
 
-    assert verify._heyting_adjunction(4).ok
+    def adjunction_holds():
+        maximum, adjunction = verify._heyting_arrow_checks(4)
+        assert adjunction.name == "Heyting adjunction over all triples n=4"
+        return adjunction.ok
+
+    assert adjunction_holds()
     monkeypatch.setattr(heyting, "relative_pseudocomplement", strict_arrow)
-    assert not verify._heyting_adjunction(4).ok
+    assert not adjunction_holds()
 
 
 def test_involution_test_check_catches_one_flipped_answer(monkeypatch):
@@ -124,7 +177,6 @@ def test_involution_test_check_catches_one_flipped_answer(monkeypatch):
     monkeypatch.setattr(
         involutions, "involution_seq_check", lambda x: honest(x) != (tuple(x) == flipped)
     )
-    failed = [r for r in verify.suite_involutions(4) if not r.ok]
-    assert [(r.name, r.detail) for r in failed] == [
-        ("inversion-sequence involution test n=4", f"x={flipped}")
+    assert failures(verify.suite_involutions(4)) == [
+        ("inversion-sequence involution test n=4", "(0, 1, 0, 2)")
     ]
