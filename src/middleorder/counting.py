@@ -137,7 +137,8 @@ def boolean_by_rank(n: int) -> tuple[int, ...]:
 def euler_characteristic(w: Perm) -> int:
     """Number of right-to-left non-minima of w, i.e. of nonzero
     inversion-sequence coordinates."""
-    return sum(1 for x in inversion_sequence(w) if x != 0)
+    x = inversion_sequence(w)
+    return len(x) - x.count(0)
 
 
 def euler_distribution(n: int) -> tuple[int, ...]:

@@ -164,8 +164,7 @@ def mobius_involution_ideal(w: Perm) -> int:
     x = _involution_code(w)
     if not _slow_climbing(x):
         return 0
-    nonzero = sum(1 for v in x if v != 0)
-    return -1 if nonzero % 2 else 1
+    return -1 if (len(x) - x.count(0)) % 2 else 1
 
 
 def _involution_code(w: Perm) -> InvSeq:

@@ -20,9 +20,10 @@ from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 InvSeq = tuple[int, ...]
-# _encode marks the values it has seen in one bitmask per run of 2**_RUN_BITS
-# values; _decode keeps the word in runs of 2**_RUN_BITS to 2**(_RUN_BITS + 1)
-# entries once it has more than _DECODE_RUNS_FROM of them
+# _encode marks the values it has seen in one bitmask, or in one per run of
+# 2**_RUN_BITS values once there are that many; _decode keeps the word in runs
+# of 2**_RUN_BITS to 2**(_RUN_BITS + 1) entries once it has more than
+# _DECODE_RUNS_FROM of them
 _RUN_BITS = 10
 _DECODE_RUNS_FROM = 3 << _RUN_BITS  # where the runs start to beat one list
 
@@ -114,15 +115,23 @@ def inversion_sequence(w: Perm) -> InvSeq:
 def _encode(w: Perm) -> InvSeq:
     """inversion_sequence of an already validated permutation, in O(n log n).
 
-    Scans w from right to left, marking the values seen in one bitmask per
-    run of 1,024 values (v is bit v & low of mask v >> _RUN_BITS): x_v is
-    the popcount of the bits below v's in its mask plus the seen values in
-    lower runs, from a Fenwick tree over the runs.  Below n = 1,024 there
-    is one mask and the tree loops never run: a few C-level big-int
-    operations of at most 128 bytes per value.
+    Scans w from right to left, marking the values seen in a bitmask: x_v
+    is the popcount of the seen bits below v's.  Below n = 1,024 one int
+    holds every bit, so each value costs three C-level big-int operations
+    of at most 128 bytes.  Longer words keep one mask per run of 1,024
+    values (v is bit v & low of mask v >> _RUN_BITS) and add the seen
+    values in lower runs, from a Fenwick tree over the runs.
     """
     n = len(w)
     top = n >> _RUN_BITS
+    if not top:
+        seen = 0
+        x = [0] * n
+        for v in reversed(w):
+            bit = 1 << v
+            x[v - 1] = (seen & (bit - 1)).bit_count()
+            seen |= bit
+        return tuple(x)
     low = (1 << _RUN_BITS) - 1
     masks = [0] * (top + 1)
     tree = [0] * (top + 1)

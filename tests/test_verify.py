@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import middleorder
-from middleorder import heyting, involutions, orders, verify
+from middleorder import counting, heyting, involutions, orders, verify
 from middleorder.permutations import from_inversion_sequence, inversion_sequence
 
 PACKAGE = Path(middleorder.__file__).resolve().parent
@@ -138,6 +138,23 @@ def test_a_dropped_upper_cover_is_named(monkeypatch):
                         lambda w: honest(w)[1:] if w == (2, 1, 3) else honest(w))
     assert ("upper covers are the covers of the coordinate order n=3",
             "((2, 1, 3), (2, 3, 1))") in failures(verify.suite_mobius(3))
+
+
+def test_a_wrong_decoding_is_named_by_its_code(monkeypatch):
+    honest = verify.from_inversion_sequence
+    monkeypatch.setattr(verify, "from_inversion_sequence",
+                        lambda x: (1, 2, 3) if x == (0, 1, 2) else honest(x))
+    assert failures(verify.suite_bijection(3)) == [("round-trip bijection n=3", "(0, 1, 2)")]
+
+
+def test_a_wrong_count_shows_the_value_it_got(monkeypatch):
+    honest = counting.interval_count_total
+    monkeypatch.setattr(counting, "interval_count_total", lambda n: honest(n) + (n == 3))
+    assert failures(verify.suite_tables(3)) == [
+        ("rank row sums to total interval count n=3", "18 vs 19"),
+        ("oracle interval total n=3", "18 vs 19"),
+        ("interval total equals prod C(i+2,2) to n=50", "3"),
+    ]
 
 
 def test_n_max_bounds_every_sized_check():
