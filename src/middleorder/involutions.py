@@ -16,6 +16,7 @@ from .orders import _codes_leq, middle_subposet
 from .permutations import (
     InvSeq,
     Perm,
+    _decode,
     _encode,
     _is_involution,
     check_size,
@@ -145,17 +146,34 @@ def clusters(coords: InvSeq) -> list[tuple[int, int]]:
 
 
 def maximal_slow_climbing_below(w: Perm) -> list[Perm]:
-    """The antichain of maximal slow-climbing involutions below w.
+    """The antichain of maximal slow-climbing involutions below w, in
+    inversion-sequence order.
 
-    Computed by exhaustive filtering of the involutions of size n.
+    Only the 2^(n-1) block codes are filtered, and only the maximal ones
+    are decoded.  Taken by decreasing rank, a code below w is maximal
+    iff no maximal code found so far lies above it, so each code is
+    compared with the maxima alone.  ValueError beyond n = 14.
     """
     y = _involution_code(w)
-    below = []
-    for v in all_involutions(len(y)):
-        x = _encode(v)
-        if _slow_climbing(x) and _codes_leq(x, y):
-            below.append((v, x))
-    return [v for v, x in below if not any(z != x and _codes_leq(x, z) for _, z in below)]
+    n = check_size(len(y), most=14, why="its 2^(n-1) candidate codes would exceed 8,192")
+    maxima: list[InvSeq] = []
+    for x in sorted((x for x in _block_codes(n) if _codes_leq(x, y)), key=sum, reverse=True):
+        if not any(_codes_leq(x, m) for m in maxima):
+            maxima.append(x)
+    return [_decode(x) for x in sorted(maxima)]
+
+
+def _block_codes(n: int) -> list[InvSeq]:
+    """The concatenations of blocks (0, 1, ..., h) of total length n, in
+    lexicographic order: the codes of the slow-climbing involutions.
+
+    Each entry after the first starts a new block at 0 or extends the
+    current one by one.
+    """
+    codes = [(0,)]
+    for _ in range(n - 1):
+        codes = [x + (v,) for x in codes for v in (0, x[-1] + 1)]
+    return codes
 
 
 def mobius_involution_ideal(w: Perm) -> int:

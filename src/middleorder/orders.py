@@ -148,7 +148,11 @@ def mobius_middle(v: Perm, w: Perm) -> int:
     Zero unless [v, w] is a boolean interval (all coordinate differences
     0 or 1), in which case it is (-1)^(rank difference).
     """
-    x, y = inversion_pair(v, w)
+    return _mobius_codes(*inversion_pair(v, w))
+
+
+def _mobius_codes(x: InvSeq, y: InvSeq) -> int:
+    """mobius_middle on the inversion sequences of v and w."""
     diffs = [b - a for a, b in zip(x, y)]
     if any(d < 0 for d in diffs):
         return 0

@@ -19,6 +19,12 @@ two computed values shows the value it got; one that compares two short
 values goes through _equal, whose detail is "got vs expected".  n_max
 lowers the cap of every sized check and never raises one; an entry with
 first = cap = 1 does not depend on n and runs once, whatever n_max is.
+
+A scan encodes each element once per n and then works on inversion
+sequences or element indices, calling the code-level cores
+(orders._mobius_codes, involutions._seq_check and _slow_climbing,
+_decode) rather than the public wrappers; the validation those wrappers
+add is covered by tests/test_sizes.py.
 """
 from __future__ import annotations
 
@@ -32,6 +38,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import counting, heyting, involutions, orders, parking, posets
 from .permutations import (
     MeshPattern,
+    _decode,
+    _is_involution,
     all_inversion_sequences,
     all_permutations,
     avoids_classical,
@@ -450,9 +458,11 @@ def suite_tables(n_max: int = 8) -> list[CheckResult]:
 def _mobius_pairs_check(n: int) -> list[CheckResult]:
     poset = orders.middle_poset(n)
     labels = poset.labels
+    codes = list(map(inversion_sequence, labels))
+    mobius = orders._mobius_codes
     return [_holds(f"closed-form Moebius matches oracle on all pairs n={n}",
-                   ((v, w) for i, v in enumerate(labels) for j, w in enumerate(labels)
-                    if orders.mobius_middle(v, w) != poset.mobius(i, j)))]
+                   ((labels[i], labels[j]) for i, x in enumerate(codes) for j, y in enumerate(codes)
+                    if mobius(x, y) != poset.mobius(i, j)))]
 
 
 def _upper_covers_check(n: int) -> list[CheckResult]:
@@ -517,10 +527,10 @@ def _involution_codes(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _slow_climbers(n: int) -> tuple[tuple[int, ...], ...]:
-    """The slow-climbing involutions of size n, found once for the checks below."""
-    return tuple(w for w, x in zip(involutions.all_involutions(n), _involution_codes(n))
-                 if involutions.is_slow_climbing(x))
+def _slow_codes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The codes of the slow-climbing involutions of size n, in order,
+    found once for the checks below."""
+    return tuple(filter(involutions._slow_climbing, _involution_codes(n)))
 
 
 def _generated_involutions_check(n: int) -> list[CheckResult]:
@@ -537,14 +547,16 @@ def _generated_involutions_check(n: int) -> list[CheckResult]:
 
 def _involution_test_check(n: int) -> list[CheckResult]:
     # The check above shows these codes are every involution's.
-    accepted = {x for x in all_inversion_sequences(n) if involutions.involution_seq_check(x)}
+    accepted = set(filter(involutions._seq_check, all_inversion_sequences(n)))
     return [_holds(f"inversion-sequence involution test n={n}",
                    sorted(accepted.symmetric_difference(_involution_codes(n))))]
 
 
 def _slow_climbing_blocks_check(n: int) -> list[CheckResult]:
     # A slow-climber splits into blocks 0, 1, ..., k-1 that concatenate
-    # back to it; every other code is refused.
+    # back to it; every other code is refused.  Conversely, the block
+    # codes, the candidates of maximal_slow_climbing_below, are exactly
+    # the codes of the slow-climbing involutions.
     def mismatch(x):
         try:
             blocks = involutions.slow_climb_decompose(x)
@@ -553,15 +565,20 @@ def _slow_climbing_blocks_check(n: int) -> list[CheckResult]:
         return (not involutions.is_slow_climbing(x) or tuple(itertools.chain(*blocks)) != x
                 or any(b != tuple(range(len(b))) for b in blocks))
 
-    return [_holds(f"slow-climbing equals block form n={n}",
-                   filter(mismatch, _involution_codes(n)))]
+    return [_holds(f"slow-climbing equals block form n={n}", itertools.chain(
+        filter(mismatch, _involution_codes(n)),
+        sorted(set(involutions._block_codes(n)).symmetric_difference(_slow_codes(n))),
+    ))]
 
 
 def _slow_meets_check(n: int) -> list[CheckResult]:
+    # The meet is the coordinatewise min of the codes, decoded once; a
+    # failing pair is named by the public decoder.
+    pairs = itertools.combinations(_slow_codes(n), 2)
     return [_holds(f"meets of slow-climbers stay slow-climbing n={n}", (
-        (v, w) for v, w in itertools.combinations(_slow_climbers(n), 2)
-        if not (is_involution(m := orders.meet(v, w))
-                and involutions.is_slow_climbing(inversion_sequence(m)))
+        (from_inversion_sequence(x), from_inversion_sequence(y)) for x, y in pairs
+        if not (_is_involution(_decode(m := tuple(map(min, x, y))))
+                and involutions._slow_climbing(m))
     ))]
 
 
@@ -585,17 +602,23 @@ def _cluster_cover_check(n: int) -> list[CheckResult]:
 
 
 def _maximal_slow_climbers_check(n: int) -> list[CheckResult]:
-    leq = orders.middle_leq
-    slow = _slow_climbers(n)
+    # Each m is a slow-climber below w, every slow-climber below w lies
+    # below some m, and no m lies below another: m_w is exactly the set of
+    # maximal slow-climbers below w.
+    leq = orders._codes_leq
+    slow = _slow_codes(n)
+    slow_set = set(slow)
 
-    def dominates(w):
-        m_w = involutions.maximal_slow_climbing_below(w)
-        covered = all(any(leq(v, m) for m in m_w) for v in slow if leq(v, w))
+    def dominates(w, y):
+        m_w = list(map(inversion_sequence, involutions.maximal_slow_climbing_below(w)))
+        below = all(m in slow_set and leq(m, y) for m in m_w)
+        covered = all(any(leq(x, m) for m in m_w) for x in slow if leq(x, y))
         antichain = not any(leq(a, b) for a, b in itertools.permutations(m_w, 2))
-        return m_w and covered and antichain
+        return m_w and below and covered and antichain
 
     return [_holds(f"maximal slow-climbers dominate every slow-climber n={n}",
-                   itertools.filterfalse(dominates, involutions.all_involutions(n)))]
+                   (w for w, y in zip(involutions.all_involutions(n), _involution_codes(n))
+                    if not dominates(w, y)))]
 
 
 def _mobius_involution_check(n: int) -> list[CheckResult]:
@@ -734,9 +757,14 @@ def _simulation_checks(n: int) -> list[CheckResult]:
 
 
 def _rearrangements_check(n: int) -> list[CheckResult]:
+    # The rearrangements of p depend only on sorted(p): simulate them once
+    # per sorted class.
+    @lru_cache(maxsize=None)
+    def all_park(q):
+        return all(map(parking_simulation, set(itertools.permutations(q))))
+
     return [_holds(f"rearrangements of parking functions park n={n}",
-                   (p for p in parking.all_parking_functions(n)
-                    if not all(map(parking_simulation, set(itertools.permutations(p))))))]
+                   (p for p in parking.all_parking_functions(n) if not all_park(tuple(sorted(p)))))]
 
 
 def _parking_lattice_checks(n: int) -> list[CheckResult]:

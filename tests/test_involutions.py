@@ -21,6 +21,7 @@ from middleorder.permutations import (
     identity,
     inversion_sequence,
     is_involution,
+    long_element,
 )
 from middleorder.verify import clusters_by_definition
 
@@ -61,7 +62,7 @@ def test_involution_enumeration_stops_at_ten_factorial():
     assert involution_count(14) < 3628800 < involution_count(15)
     with pytest.raises(ValueError, match="exceed 10!"):
         all_involutions(15)
-    with pytest.raises(ValueError, match="exceed 10!"):
+    with pytest.raises(ValueError, match="exceed 8,192"):
         maximal_slow_climbing_below((2, 1) + tuple(range(3, 16)))
 
 
@@ -79,8 +80,10 @@ def test_long_inputs_do_not_recurse():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_seq_check_matches_brute_force(n):
+    # The public test, the core it wraps, and the decoded word.
     for x in all_inversion_sequences(n):
-        assert involution_seq_check(x) == is_involution(from_inversion_sequence(x))
+        assert (involution_seq_check(x) == involutions._seq_check(x)
+                == is_involution(from_inversion_sequence(x)))
 
 
 def test_slow_climbing():
@@ -174,6 +177,14 @@ def test_maximal_slow_climbing_below():
                     assert a == b or not middle_leq(a, b)
     with pytest.raises(ValueError):
         maximal_slow_climbing_below((2, 3, 1))
+
+
+def test_maximal_slow_climbing_below_at_the_largest_size():
+    # Without enumerating the 2,390,480 involutions of size 14.
+    assert maximal_slow_climbing_below(long_element(14)) == [long_element(14)]
+    assert maximal_slow_climbing_below(identity(14)) == [identity(14)]
+    w = (2, 1) + tuple(range(3, 15))
+    assert maximal_slow_climbing_below(w) == [w]
 
 
 def test_involution_queries_validate_their_argument_once(monkeypatch):

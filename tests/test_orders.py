@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from middleorder.orders import (
+    _mobius_codes,
     bruhat_leq,
     bruhat_poset,
     cover_mesh_witness,
@@ -174,10 +175,12 @@ def test_mobius_closed_form_values():
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_mobius_against_oracle(n):
+    # The public function, and the core it wraps on the codes.
     poset = middle_poset(n)
-    for i, v in enumerate(poset.labels):
-        for j, w in enumerate(poset.labels):
-            assert mobius_middle(v, w) == poset.mobius(i, j)
+    codes = [inversion_sequence(w) for w in poset.labels]
+    for i, (v, x) in enumerate(zip(poset.labels, codes)):
+        for j, (w, y) in enumerate(zip(poset.labels, codes)):
+            assert mobius_middle(v, w) == _mobius_codes(x, y) == poset.mobius(i, j)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

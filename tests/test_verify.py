@@ -9,8 +9,13 @@ from pathlib import Path
 import pytest
 
 import middleorder
-from middleorder import counting, heyting, involutions, orders, verify
-from middleorder.permutations import from_inversion_sequence, inversion_sequence
+from middleorder import counting, heyting, involutions, orders, parking, verify
+from middleorder.permutations import (
+    from_inversion_sequence,
+    identity,
+    inversion_sequence,
+    long_element,
+)
 
 PACKAGE = Path(middleorder.__file__).resolve().parent
 
@@ -119,9 +124,10 @@ def failures(results):
 
 
 def test_a_wrong_moebius_value_is_named_by_its_pair(monkeypatch):
-    honest = orders.mobius_middle
+    honest = orders._mobius_codes
     pair = ((1, 2, 3), (2, 3, 1))
-    monkeypatch.setattr(orders, "mobius_middle", lambda v, w: honest(v, w) + ((v, w) == pair))
+    codes = tuple(map(inversion_sequence, pair))
+    monkeypatch.setattr(orders, "_mobius_codes", lambda x, y: honest(x, y) + ((x, y) == codes))
     assert failures(verify.suite_mobius(3)) == [
         ("closed-form Moebius matches oracle on all pairs n=3", repr(pair))
     ]
@@ -190,10 +196,47 @@ def test_heyting_adjunction_checks_the_library_arrow(monkeypatch):
 
 def test_involution_test_check_catches_one_flipped_answer(monkeypatch):
     flipped = (0, 1, 0, 2)
-    honest = involutions.involution_seq_check
-    monkeypatch.setattr(
-        involutions, "involution_seq_check", lambda x: honest(x) != (tuple(x) == flipped)
-    )
+    honest = involutions._seq_check
+    monkeypatch.setattr(involutions, "_seq_check", lambda x: honest(x) != (tuple(x) == flipped))
     assert failures(verify.suite_involutions(4)) == [
         ("inversion-sequence involution test n=4", "(0, 1, 0, 2)")
+    ]
+
+
+def test_the_moebius_scan_encodes_each_label_once(monkeypatch):
+    calls = []
+    honest = verify.inversion_sequence
+    monkeypatch.setattr(verify, "inversion_sequence", lambda w: calls.append(w) or honest(w))
+    assert verify._mobius_pairs_check(4)[0].ok
+    assert len(calls) == 24
+
+
+def test_a_meet_that_is_no_involution_is_named_by_its_pair(monkeypatch):
+    # (0, 1, 0), the meet of (0, 1, 0) and (0, 1, 2), decoded as a 3-cycle
+    honest = verify._decode
+    monkeypatch.setattr(verify, "_decode", lambda x: (2, 3, 1) if x == (0, 1, 0) else honest(x))
+    assert failures(verify.suite_involutions(4)) == [
+        ("meets of slow-climbers stay slow-climbing n=3", "((2, 1, 3), (3, 2, 1))")
+    ]
+
+
+def test_maximal_slow_climbers_must_lie_below_w(monkeypatch):
+    # The maximal slow-climbers of all involutions, whatever w is.
+    honest = involutions.maximal_slow_climbing_below
+    monkeypatch.setattr(involutions, "maximal_slow_climbing_below",
+                        lambda w: honest(long_element(len(w))))
+    assert failures(verify.suite_involutions(5)) == [
+        (f"maximal slow-climbers dominate every slow-climber n={n}", repr(identity(n)))
+        for n in range(2, 6)
+    ]
+
+
+def test_one_rearrangement_that_fails_to_park_is_caught(monkeypatch):
+    # (2, 1, 1) shares its sorted class (1, 1, 2) with (1, 1, 2) and (1, 2, 1).
+    honest = verify.parking_simulation
+    monkeypatch.setattr(verify, "parking_simulation",
+                        lambda p: honest(p) and tuple(p) != (2, 1, 1))
+    first = next(p for p in parking.all_parking_functions(3) if sorted(p) == [1, 1, 2])
+    assert verify._rearrangements_check(3) == [
+        ("rearrangements of parking functions park n=3", False, repr(first))
     ]
