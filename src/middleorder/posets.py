@@ -7,7 +7,9 @@ reachability relation as per-element bitmasks.  Everything here is
 computed from first principles -- the defining sum for the Moebius
 function, meets and joins read off the principal down- and up-sets,
 Birkhoff's representation for distributivity -- so that the closed-form
-results elsewhere in the package can be checked against it.
+results elsewhere in the package can be checked against it.  birkhoff
+returns that representation; are_isomorphic and induced_subposet have
+no caller in the package and stay because the benchmark traces them.
 """
 from __future__ import annotations
 
@@ -93,12 +95,8 @@ class FinitePoset:
             if not mask >> i & 1:
                 raise PosetError(f"relation not reflexive at {labels[i]!r}")
             above[i] = mask
-        for i in range(n):
-            mi = above[i]
-            mask = mi & ~(1 << i)
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+        for i, mi in enumerate(above):
+            for j in _bits(mi & ~(1 << i)):
                 if above[j] >> i & 1:
                     raise PosetError("relation not antisymmetric")
                 if above[j] & ~mi:
@@ -112,17 +110,21 @@ class FinitePoset:
         """The labels ordered componentwise by their vectors.  The up-set of
         x is the intersection over coordinates i of {y : y_i >= x_i}, read
         from threshold bitsets over the ranks of the values in column i.
-        Raises PosetError unless the vectors, one per label, have one
-        length and are distinct."""
+        Raises PosetError unless the vectors, one per label, are
+        iterables of one length with comparable entries, and distinct."""
         labels = _within_size_limit(labels)
-        vectors = [tuple(v) for v in vectors]
+        try:
+            vectors = [tuple(v) for v in vectors]
+            values = [sorted(set(column)) for column in zip(*vectors)]
+        except TypeError as err:
+            raise PosetError(f"vectors must hold comparable entries: {err}") from None
         if len(vectors) != len(labels) or len({len(v) for v in vectors}) > 1:
             raise PosetError("need one vector per label, all of one length")
         if len(set(vectors)) != len(vectors):
             raise PosetError("two labels have the same vector")
         above = [(1 << len(labels)) - 1] * len(labels)
-        for column in zip(*vectors):
-            rank = {v: r for r, v in enumerate(sorted(set(column)))}
+        for column, ordered in zip(zip(*vectors), values):
+            rank = {v: r for r, v in enumerate(ordered)}
             # at_least[r] = {k : column[k] has rank >= r}
             at_least = [0] * (len(rank) + 1)
             for k, v in enumerate(column):
@@ -205,18 +207,10 @@ class FinitePoset:
     # -- intervals -----------------------------------------------------------
 
     def enumerate_intervals(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            mask = self._above[i]
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                out.append((i, j))
-        return out
+        return [(i, j) for i in range(self.n) for j in _bits(self._above[i])]
 
     def interval_elements(self, i: int, j: int) -> list[int]:
-        mask = self._above[i] & self._below[j]
-        return _bits(mask)
+        return _bits(self._above[i] & self._below[j])
 
     # -- gradedness ----------------------------------------------------------
 
@@ -284,8 +278,8 @@ class FinitePoset:
         )
 
     def is_distributive(self) -> bool:
-        """Whether this is a distributive lattice, by is_distributive_lattice."""
-        return is_distributive_lattice(self.n, self._covers)
+        """Whether this is a distributive lattice, by birkhoff."""
+        return birkhoff(self.n, self._covers) is not None
 
     def find_pentagon(self) -> Optional[tuple[int, int, int, int, int]]:
         """An N5 sublattice (bottom, short, low, high, top), via a modularity
@@ -309,10 +303,9 @@ class FinitePoset:
 
     def _is_n5(self, quint: tuple[int, int, int, int, int]) -> bool:
         bot, y, a, b, top = quint
-        if len(set(quint)) != 5:
-            return False
         return (
-            self.leq(bot, y)
+            len(set(quint)) == 5
+            and self.leq(bot, y)
             and self.leq(y, top)
             and self.leq(a, b)
             and self.meet(y, a) == bot
@@ -486,8 +479,11 @@ _DOT_STRING = r'"((?:[^"\\\n]|\\.)*)"'
 
 
 def _within_size_limit(labels: Sequence[Hashable]) -> tuple:
-    """labels as a tuple; PosetError beyond POSET_SIZE_LIMIT elements."""
-    labels = tuple(labels)
+    """labels as a tuple; PosetError unless iterable with at most POSET_SIZE_LIMIT elements."""
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise PosetError(f"labels must be iterable, not {type(labels).__name__}") from None
     if len(labels) > POSET_SIZE_LIMIT:
         raise PosetError(f"{len(labels)} elements exceed the limit of {POSET_SIZE_LIMIT}")
     return labels
@@ -573,60 +569,63 @@ def chain_product(sizes: Sequence[int]) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-def is_distributive_lattice(n: int, covers: Iterable[tuple[int, int]]) -> bool:
-    """Whether the cover pairs (lower, upper) on 0..n-1 are the Hasse
-    diagram of a distributive lattice; PosetError for a dangling index or
-    a cycle.
+def birkhoff(n: int, covers: Iterable[tuple[int, int]]) -> Optional[tuple[list[int], list[int]]]:
+    """(phi, below) if the cover pairs (lower, upper) on 0..n-1 are the
+    Hasse diagram of a distributive lattice, else None; PosetError for a
+    bad size, a bad pair or a cycle.  With J the elements that have one
+    lower cover, phi[y] is the mask over J of J & down-set(y), and
+    below[j] the mask of the J-elements strictly below the j-th.
 
-    Birkhoff (Stanley, EC1 3.4): with J the elements that have one lower
-    cover and phi(y) = J & down-set(y) as a bitmask, they are iff phi is
+    Birkhoff (Stanley, EC1 3.4): the pairs are such a diagram iff phi is
     injective (so one element is minimal) and the upper covers of each x
     carry exactly the masks phi(x) | {j}, j minimal in J - phi(x); phi is
-    then an isomorphism onto the down-sets of J.  O(covers + n |J|), with
-    no n x n table."""
-    if n < 0:
-        raise PosetError(f"negative size {n}")
-    order, succ = _topological_order(n, dict.fromkeys(covers))  # drops repeats, keeps order
+    then an isomorphism onto the down-sets of J, and popcount(phi[y]) is
+    the rank of y.  O(covers + n |J|), with no n x n table."""
+    order, succ = _topological_order(n, covers)
     phi = [0] * n
     lower_count = [0] * n
-    # (bit of j, the J-elements strictly below j) for each j in J
-    irreducible: list[tuple[int, int]] = []
+    below: list[int] = []
     for y in order:
-        if lower_count[y] == 1:
-            bit = 1 << len(irreducible)
-            irreducible.append((bit, phi[y]))
-            phi[y] |= bit
+        if lower_count[y] == 1:  # y is the next element of J
+            below.append(phi[y])
+            phi[y] |= 1 << (len(below) - 1)
         for z in succ[y]:
             phi[z] |= phi[y]
             lower_count[z] += 1
     if len(set(phi)) != n:
-        return False
+        return None
     for x in range(n):
         down = phi[x]
         added = 0  # phi(x) lies inside phi(y), so y adds these bits
         for y in succ[x]:
             bit = phi[y] ^ down
             if bit & (bit - 1):
-                return False
+                return None
             added |= bit
-        minimal = sum([bit for bit, below in irreducible if not below & ~down])
+        minimal = sum([1 << j for j, mask in enumerate(below) if not mask & ~down])
         if added != minimal & ~down:
-            return False
-    return True
+            return None
+    return phi, below
 
 
 def _topological_order(
     n: int, cover_pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[list[int]]]:
     """A topological order of the cover pairs, and each element's upper
-    covers; PosetError for a dangling index or a cycle (or self-loop)."""
+    covers, repeats dropped; PosetError for a size that is not an int >= 0,
+    a pair that is not two indices in range, or a cycle (or self-loop)."""
+    if type(n) is not int or n < 0:
+        raise PosetError(f"size must be an int >= 0, not {n!r}")
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for lo, hi in cover_pairs:
-        if not (0 <= lo < n and 0 <= hi < n):
-            raise PosetError(f"dangling index in cover ({lo}, {hi})")
-        succ[lo].append(hi)
-        indeg[hi] += 1
+    try:
+        for lo, hi in dict.fromkeys(cover_pairs):  # drops repeats, keeps order
+            if not (0 <= lo < n and 0 <= hi < n):
+                raise PosetError(f"dangling index in cover ({lo}, {hi})")
+            succ[lo].append(hi)
+            indeg[hi] += 1
+    except TypeError as err:
+        raise PosetError(f"covers must be pairs of int indices: {err}") from None
     stack = [i for i in range(n) if indeg[i] == 0]
     order = []
     while stack:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from middleorder.involutions import involution_poset
-from middleorder.orders import upper_covers
+from middleorder.orders import middle_poset, upper_covers
 from middleorder.parking import parking_poset
 from middleorder.permutations import all_permutations
 from middleorder.posets import (
@@ -15,11 +15,11 @@ from middleorder.posets import (
     FinitePoset,
     PosetError,
     antichain,
+    birkhoff,
     boolean_lattice,
     chain,
     chain_product,
     diamond,
-    is_distributive_lattice,
     pentagon,
     product,
 )
@@ -52,6 +52,10 @@ def test_from_covers_rejects_cycles_and_loops():
         FinitePoset.from_covers([0], [(0, 0)])
     with pytest.raises(PosetError):
         FinitePoset.from_covers([0], [(0, 3)])
+    for labels, covers in ((["a", "b"], [("x", 1)]), (["a", "b"], [(0.0, 1)]), (["a", "b"], 7),
+                           (5, []), (["a", "b"], [[0, 1]])):
+        with pytest.raises(PosetError):
+            FinitePoset.from_covers(labels, covers)
 
 
 def test_from_leq_rejects_non_orders():
@@ -377,16 +381,16 @@ def middle_cover_list(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_certificate_rejects_a_dropped_cover_or_a_redundant_edge(n):
     size, covers = middle_cover_list(n)
-    assert is_distributive_lattice(size, covers)
+    assert birkhoff(size, covers) is not None
     for k in range(len(covers)):
-        assert not is_distributive_lattice(size, covers[:k] + covers[k + 1:])
+        assert birkhoff(size, covers[:k] + covers[k + 1:]) is None
     succ = {}
     for lo, hi in covers:
         succ.setdefault(lo, []).append(hi)
     shortcuts = {(x, z) for x, y in covers for z in succ.get(y, ())}
     assert shortcuts or n < 3
     for edge in shortcuts:
-        assert not is_distributive_lattice(size, covers + [edge])
+        assert birkhoff(size, covers + [edge]) is None
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -404,12 +408,45 @@ def test_certificate_matches_triple_scan_after_merging_two_elements(n):
 
 
 def test_certificate_rejects_malformed_diagrams():
-    assert is_distributive_lattice(0, [])
-    assert is_distributive_lattice(2, [(0, 1), (0, 1)])
+    assert birkhoff(0, []) == ([], [])
+    assert birkhoff(2, [(0, 1), (0, 1)]) == ([0, 1], [0])
     for n, covers in ((2, [(0, 2)]), (2, [(-1, 0)]), (2, [(0, 1), (1, 0)]),
-                      (1, [(0, 0)]), (-1, [])):
+                      (1, [(0, 0)]), (-1, []), (1.5, []), (True, []), (2, [("x", 1)]),
+                      (2, [(0.0, 1)]), (2, 7)):
         with pytest.raises(PosetError):
-            is_distributive_lattice(n, covers)
+            birkhoff(n, covers)
+
+
+def _embedding(p):
+    return birkhoff(p.n, p.covers)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_birkhoff_of_a_boolean_lattice_has_k_incomparable_irreducibles(k):
+    phi, below = _embedding(boolean_lattice(k))
+    assert len(below) == k and not any(below)
+    assert sorted(phi) == list(range(2**k))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_birkhoff_of_a_chain_stacks_its_irreducibles(k):
+    phi, below = _embedding(chain(k))
+    assert below == [(1 << j) - 1 for j in range(k - 1)]
+    assert phi == [(1 << i) - 1 for i in range(k)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_birkhoff_ranks_match_the_longest_path_ranks(n):
+    p = middle_poset(n)
+    graded, ranks = p.is_graded()
+    phi, below = _embedding(p)
+    assert graded and [mask.bit_count() for mask in phi] == ranks
+    assert len(below) == n * (n - 1) // 2
+
+
+def test_birkhoff_refuses_the_pentagon_and_the_diamond():
+    assert _embedding(pentagon()) is None
+    assert _embedding(diamond()) is None
 
 
 @given(st.integers(min_value=0, max_value=4).flatmap(
@@ -432,6 +469,10 @@ def test_from_vectors_rejects_bad_vectors():
         FinitePoset.from_vectors("ab", [(0, 1), (0,)])
     with pytest.raises(PosetError):
         FinitePoset.from_vectors("ab", [(0, 1)])
+    with pytest.raises(PosetError):
+        FinitePoset.from_vectors(["a", "b"], [(0,), ("x",)])
+    with pytest.raises(PosetError):
+        FinitePoset.from_vectors("ab", [5, 6])
     far = FinitePoset.from_vectors("ab", [(-10**12,), (10**12,)])
     assert far.leq(0, 1) and not far.leq(1, 0)
 

@@ -108,6 +108,16 @@ def test_every_search_goes_through_holds():
     assert builders == {"_check", "_holds"}
 
 
+def test_lattice_structure_is_read_off_the_embedding():
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    searches = {"are_isomorphic", "induced_subposet", "interval_elements",
+                "enumerate_intervals", "is_distributive_lattice"}
+    assert not names & searches, names & searches
+    assert "birkhoff" in names
+
+
 def test_holds_reports_the_first_counterexample_only():
     assert verify._holds("empty", []) == ("empty", True, "")
     assert verify._holds("pairs", [(1, 2), (3, 4)]) == ("pairs", False, "(1, 2)")
