@@ -55,7 +55,9 @@ def polynomial_row(n: int) -> tuple[int, ...]:
     """Coefficients (p(n,0), ..., p(n, C(n,2))) of the row polynomial
     prod_{i=1..n} (1 + 2x + ... + i x^{i-1}).
 
-    Reversing the row gives intervals_by_rank(n).
+    Reversing the row gives intervals_by_rank(n).  Kept for verify's
+    reversal check and because perfbench traces it; it moves into verify
+    with its TRACED entry.
     """
     check_size(n, most=COUNTING_LIMIT)
     if n == 1:

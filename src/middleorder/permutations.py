@@ -100,13 +100,6 @@ def long_element(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def inverse(w: Perm) -> Perm:
-    inv = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
 def inversion_sequence(w: Perm) -> InvSeq:
     """x_i = number of values j < i appearing after i in one-line notation."""
     return _encode(validate_permutation(w))
@@ -302,11 +295,6 @@ def avoids_classical(w: Perm, p: Perm) -> bool:
     w = validate_permutation(w)
     p = validate_permutation(p)
     return next(_classical_occurrences(w, p), None) is None
-
-
-def count_classical(w: Perm, p: Perm) -> int:
-    return sum(1 for _ in _classical_occurrences(validate_permutation(w),
-                                                 validate_permutation(p)))
 
 
 def mesh_contains(w: Perm, m: MeshPattern) -> int:

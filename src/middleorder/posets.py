@@ -8,8 +8,9 @@ computed from first principles -- the defining sum for the Moebius
 function, meets and joins read off the principal down- and up-sets,
 Birkhoff's representation for distributivity -- so that the closed-form
 results elsewhere in the package can be checked against it.  birkhoff
-returns that representation; are_isomorphic and induced_subposet have
-no caller in the package and stay because the benchmark traces them.
+returns that representation.  are_isomorphic, induced_subposet and
+enumerate_intervals have no caller in the package; they stay while the
+benchmark traces them.
 """
 from __future__ import annotations
 
@@ -34,9 +35,7 @@ class FinitePoset:
         # above[i] is a bitmask of the j with i <= j (including i itself).
         self.labels = tuple(labels)
         self.n = len(self.labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
-            raise PosetError("duplicate labels")
+        self._index = _label_index(self.labels)
         self._above = above
         # Strictly larger up-sets come first: a topological order.
         self._order = sorted(range(self.n), key=lambda i: -above[i].bit_count())
@@ -85,6 +84,8 @@ class FinitePoset:
     ) -> "FinitePoset":
         """Build from a comparison callable; verifies it is a partial order."""
         labels = _within_size_limit(labels)
+        if not callable(leq):
+            raise PosetError(f"leq must be callable, not {type(leq).__name__}")
         n = len(labels)
         above = [0] * n
         for i in range(n):
@@ -137,12 +138,12 @@ class FinitePoset:
     def relabeled(self, labels: Sequence[Hashable]) -> "FinitePoset":
         """This poset with labels[i] as the label of element i.  The masks,
         covers and order are shared, not recomputed; PosetError for a wrong
-        number of labels or duplicates."""
+        number of labels, duplicates or unhashable labels."""
         other = copy.copy(self)
-        other.labels = tuple(labels)
-        other._index = {lab: i for i, lab in enumerate(other.labels)}
-        if not len(other.labels) == len(other._index) == self.n:
-            raise PosetError(f"need {self.n} distinct labels")
+        other.labels = _within_size_limit(labels)
+        if len(other.labels) != self.n:
+            raise PosetError(f"need {self.n} labels")
+        other._index = _label_index(other.labels)
         return other
 
     # -- basic queries -------------------------------------------------------
@@ -162,12 +163,6 @@ class FinitePoset:
 
     def leq_labels(self, a: Hashable, b: Hashable) -> bool:
         return self.leq(self._index[a], self._index[b])
-
-    def minimal_elements(self) -> list[int]:
-        return [i for i in range(self.n) if self._below[i] == 1 << i]
-
-    def maximal_elements(self) -> list[int]:
-        return [i for i in range(self.n) if self._above[i] == 1 << i]
 
     # -- Moebius -------------------------------------------------------------
 
@@ -201,16 +196,11 @@ class FinitePoset:
                 masks[value] = masks.get(value, 0) | 1 << u
         return row
 
-    def mobius_labels(self, a: Hashable, b: Hashable) -> int:
-        return self.mobius(self._index[a], self._index[b])
-
     # -- intervals -----------------------------------------------------------
 
     def enumerate_intervals(self) -> list[tuple[int, int]]:
+        """No library caller; traced by perfbench, deleted with its TRACED entry."""
         return [(i, j) for i in range(self.n) for j in _bits(self._above[i])]
-
-    def interval_elements(self, i: int, j: int) -> list[int]:
-        return _bits(self._above[i] & self._below[j])
 
     # -- gradedness ----------------------------------------------------------
 
@@ -321,6 +311,7 @@ class FinitePoset:
     # -- subposets, isomorphism ------------------------------------------------
 
     def induced_subposet(self, labels: Iterable[Hashable]) -> "FinitePoset":
+        """No library caller; traced by perfbench, deleted with its TRACED entry."""
         idx = [self._index[lab] for lab in labels]
         remap = {old: new for new, old in enumerate(idx)}
         above = []
@@ -333,6 +324,7 @@ class FinitePoset:
         return FinitePoset([self.labels[i] for i in idx], above)
 
     def are_isomorphic(self, other: "FinitePoset") -> bool:
+        """No library caller; traced by perfbench, deleted with its TRACED entry."""
         if self.n != other.n:
             return False
         if self.n > ISO_SIZE_LIMIT:
@@ -353,14 +345,10 @@ class FinitePoset:
                 return True
             i = order[k]
             for j in groups.get(mine[i], ()):
-                if used[j]:
-                    continue
-                ok = True
-                for i2, j2 in mapping.items():
-                    if self.leq(i, i2) != other.leq(j, j2) or self.leq(i2, i) != other.leq(j2, j):
-                        ok = False
-                        break
-                if not ok:
+                if used[j] or any(
+                    self.leq(i, i2) != other.leq(j, j2) or self.leq(i2, i) != other.leq(j2, j)
+                    for i2, j2 in mapping.items()
+                ):
                     continue
                 mapping[i] = j
                 used[j] = True
@@ -378,22 +366,15 @@ class FinitePoset:
         for lo, hi in self._covers:
             up[lo].append(hi)
             down[hi].append(lo)
-        colors = [
-            hash((bin(self._above[i]).count("1"), bin(self._below[i]).count("1"),
-                  len(up[i]), len(down[i])))
-            for i in range(self.n)
-        ]
+        colors = [hash((self._above[i].bit_count(), self._below[i].bit_count(),
+                        len(up[i]), len(down[i]))) for i in range(self.n)]
         for _ in range(self.n):
-            new = [
-                hash((colors[i],
-                      tuple(sorted(colors[j] for j in up[i])),
-                      tuple(sorted(colors[j] for j in down[i]))))
-                for i in range(self.n)
-            ]
-            if len(set(new)) == len(set(colors)):
-                colors = new
-                break
+            new = [hash((colors[i], tuple(sorted(colors[j] for j in up[i])),
+                         tuple(sorted(colors[j] for j in down[i])))) for i in range(self.n)]
+            stable = len(set(new)) == len(set(colors))
             colors = new
+            if stable:
+                break
         return colors
 
     # -- import / export --------------------------------------------------------
@@ -417,22 +398,17 @@ class FinitePoset:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "FinitePoset":
+        seen: dict[str, int] = {}  # label -> index, in order of appearance
         pairs = []
-        labels: list[str] = []
-        seen: dict[str, int] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_text(text).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             if " < " not in line:
                 raise PosetError(f"line {lineno}: expected 'a < b'")
             a, b = (part.strip() for part in line.split(" < ", 1))
-            for lab in (a, b):
-                if lab not in seen:
-                    seen[lab] = len(labels)
-                    labels.append(lab)
-            pairs.append((seen[a], seen[b]))
-        return cls.from_covers(labels, pairs)
+            pairs.append((seen.setdefault(a, len(seen)), seen.setdefault(b, len(seen))))
+        return cls.from_covers(list(seen), pairs)
 
     def to_dot(self, name: str = "poset") -> str:
         """The Hasse diagram in DOT, every node declared on its own line.
@@ -451,27 +427,22 @@ class FinitePoset:
     def from_dot(cls, text: str) -> "FinitePoset":
         node_re = re.compile(rf"^\s*{_DOT_STRING}\s*;\s*$")
         edge_re = re.compile(rf"{_DOT_STRING}\s*->\s*{_DOT_STRING}")
-        labels: list[str] = []
-        seen: dict[str, int] = {}
+        seen: dict[str, int] = {}  # label -> index, in order of appearance
 
         def intern(quoted: str) -> int:
-            lab = re.sub(r"\\(.)", _dot_unescape, quoted)
-            if lab not in seen:
-                seen[lab] = len(labels)
-                labels.append(lab)
-            return seen[lab]
+            return seen.setdefault(re.sub(r"\\(.)", _dot_unescape, quoted), len(seen))
 
         pairs = []
         # Not splitlines(): to_dot escapes only "\n", so other line
         # boundaries ("\r", "\x85", ...) may occur inside a label.
-        for line in text.split("\n"):
+        for line in _text(text).split("\n"):
             m = node_re.match(line)
             if m:
                 intern(m.group(1))
                 continue
             for a, b in edge_re.findall(line):
                 pairs.append((intern(a), intern(b)))
-        return cls.from_covers(labels, pairs)
+        return cls.from_covers(list(seen), pairs)
 
 
 # A double-quoted DOT string on one line; group 1 is its escaped content.
@@ -487,6 +458,23 @@ def _within_size_limit(labels: Sequence[Hashable]) -> tuple:
     if len(labels) > POSET_SIZE_LIMIT:
         raise PosetError(f"{len(labels)} elements exceed the limit of {POSET_SIZE_LIMIT}")
     return labels
+
+
+def _label_index(labels: tuple) -> dict[Hashable, int]:
+    """label -> position; PosetError for an unhashable or a repeated label."""
+    try:
+        index = {lab: i for i, lab in enumerate(labels)}
+    except TypeError as err:
+        raise PosetError(f"labels must be hashable: {err}") from None
+    if len(index) != len(labels):
+        raise PosetError("duplicate labels")
+    return index
+
+
+def _text(text: str) -> str:
+    if not isinstance(text, str):
+        raise PosetError(f"expected text, not {type(text).__name__}")
+    return text
 
 
 def _distinct_texts(texts: list[str]) -> list[str]:
@@ -524,11 +512,7 @@ def boolean_lattice(k: int) -> FinitePoset:
     subsets = [frozenset(s) for r in range(k + 1)
                for s in itertools.combinations(range(k), r)]
     idx = {s: i for i, s in enumerate(subsets)}
-    pairs = []
-    for s in subsets:
-        for extra in range(k):
-            if extra not in s:
-                pairs.append((idx[s], idx[s | {extra}]))
+    pairs = [(idx[s], idx[s | {extra}]) for s in subsets for extra in range(k) if extra not in s]
     return FinitePoset.from_covers([tuple(sorted(s)) for s in subsets], pairs)
 
 
@@ -546,24 +530,6 @@ def diamond() -> FinitePoset:
         ["0", "a", "b", "c", "1"],
         [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
     )
-
-
-def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """The pairs (a, b) ordered coordinatewise; PosetError, before any
-    pair is built, beyond POSET_SIZE_LIMIT elements."""
-    if p.n * q.n > POSET_SIZE_LIMIT:
-        raise PosetError(f"{p.n * q.n} elements exceed the limit of {POSET_SIZE_LIMIT}")
-    return FinitePoset.from_leq(
-        [(a, b) for a in p.labels for b in q.labels],
-        lambda s, t: p.leq_labels(s[0], t[0]) and q.leq_labels(s[1], t[1]),
-    )
-
-
-def chain_product(sizes: Sequence[int]) -> FinitePoset:
-    """The product of chains [0, s_1 - 1] x ... x [0, s_k - 1], compared
-    pair by pair (not through from_vectors, which middle_poset uses)."""
-    labels = list(itertools.product(*(range(s) for s in sizes)))
-    return FinitePoset.from_leq(labels, lambda a, b: all(x <= y for x, y in zip(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +582,8 @@ def _topological_order(
     a pair that is not two indices in range, or a cycle (or self-loop)."""
     if type(n) is not int or n < 0:
         raise PosetError(f"size must be an int >= 0, not {n!r}")
+    if n > POSET_SIZE_LIMIT:
+        raise PosetError(f"size exceeds the limit of {POSET_SIZE_LIMIT} elements")
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     try:

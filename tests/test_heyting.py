@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +15,9 @@ from middleorder.permutations import (
     all_permutations,
     avoids_classical,
     identity,
+    inversion_sequence,
     long_element,
 )
-from middleorder.posets import boolean_lattice
 from middleorder.verify import pseudocomplement_by_listing
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
@@ -91,7 +93,15 @@ def test_regular_elements(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_regular_subposet_is_boolean(n):
-    assert regular_subposet(n).are_isomorphic(boolean_lattice(n - 1))
+    # w -> {i : x_i != 0} carries the regular elements onto the subsets of
+    # {2..n}, ordered by inclusion.
+    sub = regular_subposet(n)
+    supports = [frozenset(i for i, x in enumerate(inversion_sequence(w), start=1) if x)
+                for w in sub.labels]
+    subsets = {frozenset(s) for r in range(n) for s in itertools.combinations(range(2, n + 1), r)}
+    assert len(supports) == len(subsets) and set(supports) == subsets
+    assert all(sub.leq(i, j) == (a <= b)
+               for i, a in enumerate(supports) for j, b in enumerate(supports))
 
 
 def test_regular_elements_refuse_more_than_ten_factorial():

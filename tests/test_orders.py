@@ -19,13 +19,14 @@ from middleorder.orders import (
     weak_poset,
 )
 from middleorder.permutations import (
+    all_inversion_sequences,
     all_permutations,
     from_inversion_sequence,
     identity,
     inversion_sequence,
     long_element,
 )
-from middleorder.posets import FinitePoset, PosetError, chain_product
+from middleorder.posets import FinitePoset, PosetError
 
 pairs = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(
@@ -185,7 +186,13 @@ def test_mobius_against_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_middle_poset_is_a_chain_product(n):
-    assert middle_poset(n).are_isomorphic(chain_product(tuple(range(1, n + 1))))
+    # w -> I(w) carries P_n onto the box [0,0] x ... x [0,n-1], ordered coordinatewise.
+    poset = middle_poset(n)
+    codes = [inversion_sequence(w) for w in poset.labels]
+    assert sorted(codes) == sorted(all_inversion_sequences(n))
+    for i, x in enumerate(codes):
+        for j, y in enumerate(codes):
+            assert poset.leq(i, j) == all(a <= b for a, b in zip(x, y))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -132,9 +132,12 @@ def test_operations_refuse_what_is_not_a_parking_function(call):
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_pentagon_witness(n):
-    elements = pentagon_witness(n)
-    sub = FinitePoset.from_leq(list(elements), pf_leq)
-    assert sub.are_isomorphic(pentagon())
+    bottom, side, low, high, top = pentagon_witness(n)
+    sub = FinitePoset.from_leq([bottom, side, low, high, top], pf_leq)
+    n5 = pentagon()  # 0 < a < b < 1 and 0 < c < 1
+    name = dict(zip((bottom, low, high, side, top), n5.labels))
+    assert all(sub.leq_labels(s, t) == n5.leq_labels(name[s], name[t])
+               for s in sub.labels for t in sub.labels)
     with pytest.raises(ValueError):
         pentagon_witness(2)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from middleorder.permutations import (
     all_inversion_sequences,
     all_permutations,
     avoids_classical,
-    count_classical,
     cycle_count,
     cycles,
     foata_image,
@@ -18,7 +18,6 @@ from middleorder.permutations import (
     format_permutation,
     from_inversion_sequence,
     identity,
-    inverse,
     inversion_sequence,
     is_involution,
     long_element,
@@ -126,11 +125,6 @@ def test_decode_past_a_run_split(end):
     assert inversion_sequence_by_counting(from_inversion_sequence(x)) == x
 
 
-@given(perms)
-def test_inverse_is_involutive(w):
-    assert inverse(inverse(w)) == w
-
-
 def test_validation_rejects_garbage():
     with pytest.raises(ValueError):
         validate_permutation(())
@@ -178,7 +172,7 @@ def test_enumeration_order_is_invseq_lex():
 
 
 def test_classical_counting():
-    assert count_classical((1, 4, 2, 3), (1, 2)) == 4
+    assert not avoids_classical((1, 4, 2, 3), (1, 2))
     assert avoids_classical((1, 2, 3), (2, 1))
     assert not avoids_classical((2, 1, 3), (2, 1))
 
@@ -206,7 +200,11 @@ def test_fully_shaded_single_cell():
 @given(perms)
 def test_empty_mesh_equals_classical(w):
     p = (2, 1, 3)
-    assert mesh_contains(w, MeshPattern(p)) == count_classical(w, p)
+    occurrences = sum(
+        all((w[a] < w[b]) == (p[s] < p[t])
+            for (s, a), (t, b) in itertools.combinations(enumerate(positions), 2))
+        for positions in itertools.combinations(range(len(w)), len(p)))
+    assert mesh_contains(w, MeshPattern(p)) == occurrences
 
 
 # -- cycles and Foata ---------------------------------------------------------

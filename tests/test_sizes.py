@@ -180,12 +180,3 @@ def test_builders_refuse_an_oversized_poset_before_enumerating(
     with pytest.raises(ValueError, match="poset size limit"):
         builder(most + 1)
 
-
-def test_product_refuses_an_oversized_poset_before_building(monkeypatch):
-    big, half = posets.boolean_lattice(9), posets.boolean_lattice(8)
-    assert half.n * half.n == POSET_SIZE_LIMIT < big.n * half.n
-    monkeypatch.setattr(posets.FinitePoset, "from_leq", enumerated)
-    with pytest.raises(Enumerated):
-        posets.product(half, half)
-    with pytest.raises(posets.PosetError, match="131072 elements exceed the limit of 65536"):
-        posets.product(big, half)
