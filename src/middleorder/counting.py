@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import lru_cache
 
 from .permutations import Perm, check_size, inversion_pair, inversion_sequence
 
@@ -23,7 +22,10 @@ def interval_count_total(n: int) -> int:
     return math.factorial(n) * math.factorial(n + 1) // 2**n
 
 
-@lru_cache(maxsize=None, typed=True)
+# Rows 1, 2, ... of intervals_by_rank computed so far, row m at index m - 1.
+_INTERVAL_ROWS = [(1,)]
+
+
 def intervals_by_rank(n: int) -> tuple[int, ...]:
     """Row (f(n,0), ..., f(n, C(n,2))) of interval counts by rank.
 
@@ -32,16 +34,16 @@ def intervals_by_rank(n: int) -> tuple[int, ...]:
     so two prefix sums give each entry in O(1).
     """
     check_size(n, most=COUNTING_LIMIT)
-    if n == 1:
-        return (1,)
-    prev = intervals_by_rank(n - 1)
-    plain = [0, *itertools.accumulate(prev)]
-    weighted = [0, *itertools.accumulate(i * v for i, v in enumerate(prev))]
-    row = []
-    for k in range(math.comb(n, 2) + 1):
-        lo, hi = max(0, k - n + 1), min(k + 1, len(prev))
-        row.append((n - k) * (plain[hi] - plain[lo]) + weighted[hi] - weighted[lo])
-    return tuple(row)
+    for m in range(len(_INTERVAL_ROWS) + 1, n + 1):
+        prev = _INTERVAL_ROWS[-1]
+        plain = [0, *itertools.accumulate(prev)]
+        weighted = [0, *itertools.accumulate(i * v for i, v in enumerate(prev))]
+        row = []
+        for k in range(math.comb(m, 2) + 1):
+            lo, hi = max(0, k - m + 1), min(k + 1, len(prev))
+            row.append((m - k) * (plain[hi] - plain[lo]) + weighted[hi] - weighted[lo])
+        _INTERVAL_ROWS.append(tuple(row))
+    return _INTERVAL_ROWS[n - 1]
 
 
 def covering_relation_count(n: int) -> int:
@@ -50,7 +52,6 @@ def covering_relation_count(n: int) -> int:
     return intervals_by_rank(n)[1]
 
 
-@lru_cache(maxsize=None, typed=True)
 def polynomial_row(n: int) -> tuple[int, ...]:
     """Coefficients (p(n,0), ..., p(n, C(n,2))) of the row polynomial
     prod_{i=1..n} (1 + 2x + ... + i x^{i-1}).
@@ -60,19 +61,13 @@ def polynomial_row(n: int) -> tuple[int, ...]:
     with its TRACED entry.
     """
     check_size(n, most=COUNTING_LIMIT)
-    if n == 1:
-        return (1,)
-    prev = polynomial_row(n - 1)
-    width = math.comb(n, 2) + 1
-    row = []
-    for k in range(width):
-        # The new factor has degree n-1, so the convolution index is
-        # capped at n-1 (not at k as in a naive reading).
-        total = 0
-        for h in range(min(k, n - 1) + 1):
-            if k - h < len(prev):
-                total += (h + 1) * prev[k - h]
-        row.append(total)
+    row = [1]
+    for i in range(2, n + 1):
+        product = [0] * (len(row) + i - 1)
+        for a, coefficient in enumerate(row):
+            for b in range(i):  # the factor's coefficient of x^b is b + 1
+                product[a + b] += coefficient * (b + 1)
+        row = product
     return tuple(row)
 
 

@@ -65,7 +65,6 @@ def involution_count(n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None, typed=True)
 def all_involutions(n: int) -> tuple[Perm, ...]:
     """Involutions of size n, ordered lexicographically by inversion sequence.
 
@@ -74,7 +73,11 @@ def all_involutions(n: int) -> tuple[Perm, ...]:
     j < m, the other m-2 values carrying an involution of size m-2.
     ValueError beyond n = 14, where i(n) would exceed 10!.
     """
-    check_size(n, most=14, why="i(n) would exceed 10!")
+    return _all_involutions(check_size(n, most=14, why="i(n) would exceed 10!"))
+
+
+@lru_cache(maxsize=None)
+def _all_involutions(n: int) -> tuple[Perm, ...]:
     before, current = [()], [(1,)]
     for m in range(2, n + 1):
         paired = [_pair_with_top(u, j, m) for j in range(1, m) for u in before]

@@ -222,11 +222,15 @@ def bruhat_poset(n: int) -> FinitePoset:
     return _cover_poset(n, BRUHAT_RISE)
 
 
-@lru_cache(maxsize=None, typed=True)
 def _cover_poset(n: int, rise: MeshPattern) -> FinitePoset:
     """S_n ordered by the closure of its rise swaps, cached per size;
     ValueError beyond n = 7, before n! masks of n! bits are built."""
     check_size(n, most=7, why="the weak and Bruhat orders are built only up to n = 7")
+    return _rise_closure(n, rise)
+
+
+@lru_cache(maxsize=None)
+def _rise_closure(n: int, rise: MeshPattern) -> FinitePoset:
     from .posets import FinitePoset
 
     perms = all_permutations(n)

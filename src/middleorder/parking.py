@@ -15,7 +15,7 @@ import itertools
 import operator
 from typing import Iterator, Sequence, Union
 
-from .permutations import check_size
+from .permutations import _int_word, _parse_ints, check_size
 from .posets import FinitePoset
 
 
@@ -52,14 +52,9 @@ def is_parking_function(prefs: Sequence[int]) -> bool:
 
 def _preferences(prefs: Sequence[int]) -> tuple[int, ...]:
     """prefs as a tuple, checking it is n >= 1 ints in [1, n]."""
-    try:
-        p = tuple(prefs)
-    except TypeError:
-        raise ValueError(f"preferences must be iterable, not {type(prefs).__name__}") from None
+    p = _int_word(prefs, "preferences")
     n = len(p)
-    if n == 0:
-        raise ValueError("parking functions of size 0 are not supported")
-    if set(map(type, p)) != {int} or min(p) < 1 or max(p) > n:
+    if min(p) < 1 or max(p) > n:
         raise ValueError(f"preferences must be ints in [1, {n}]: {p!r}")
     return p
 
@@ -176,11 +171,6 @@ def format_parking(p: ParkingFunction) -> str:
 
 
 def parse_parking(text: str) -> ParkingFunction:
-    text = text.strip()
-    if text == "T":
+    if isinstance(text, str) and text.strip() == "T":
         return TOP
-    try:
-        prefs = [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad parking function {text!r}") from exc
-    return validate_parking_function(prefs)
+    return validate_parking_function(_parse_ints(text, "parking function"))

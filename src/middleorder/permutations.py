@@ -28,21 +28,27 @@ _RUN_BITS = 10
 _DECODE_RUNS_FROM = 3 << _RUN_BITS  # where the runs start to beat one list
 
 
-def validate_permutation(word: Sequence[int]) -> Perm:
-    """Return word as a tuple, checking it is a permutation of {1..n}, n >= 1.
-
-    Entries must be of type int: bools and floats compare equal to ints
-    but break decoding and formatting, so they are rejected.
-    """
+def _int_word(seq: Sequence[int], kind: str) -> tuple[int, ...]:
+    """seq as a tuple; ValueError unless it is a non-empty iterable of
+    entries of type int.  bools and floats compare equal to ints but break
+    decoding and formatting, so they are refused."""
     try:
-        w = tuple(word)
+        word = tuple(seq)
     except TypeError:
-        raise ValueError(f"permutation must be iterable, not {type(word).__name__}") from None
+        raise ValueError(f"{kind} must be iterable, not {type(seq).__name__}") from None
+    if not word:
+        raise ValueError(f"{kind} of size 0 is not supported")
+    if set(map(type, word)) != {int}:
+        raise ValueError(f"{kind} entries must be int: {word!r}")
+    return word
+
+
+def validate_permutation(word: Sequence[int]) -> Perm:
+    """Return word as a tuple, checking it is a permutation of {1..n}, n >= 1."""
+    w = _int_word(word, "permutation")
     n = len(w)
-    if n == 0:
-        raise ValueError("permutations of size 0 are not supported")
     # With every entry an int, n distinct values from 1 to n are exactly {1..n}.
-    if set(map(type, w)) != {int} or len(set(w)) != n or min(w) != 1 or max(w) != n:
+    if len(set(w)) != n or min(w) != 1 or max(w) != n:
         raise ValueError(f"not a permutation of {{1..{n}}}: {w!r}")
     return w
 
@@ -57,19 +63,8 @@ def validate_pair(v: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
 
 
 def validate_inversion_sequence(coords: Sequence[int]) -> InvSeq:
-    """Return coords as a tuple, checking x_i in [0, i-1] for every i.
-
-    Entries must be of type int, as in validate_permutation.
-    """
-    try:
-        x = tuple(coords)
-    except TypeError:
-        raise ValueError(
-            f"inversion sequence must be iterable, not {type(coords).__name__}") from None
-    if len(x) == 0:
-        raise ValueError("inversion sequences of size 0 are not supported")
-    if set(map(type, x)) != {int}:
-        raise ValueError(f"entries must be int: {x!r}")
+    """Return coords as a tuple, checking x_i in [0, i-1] for every i."""
+    x = _int_word(coords, "inversion sequence")
     for i, xi in enumerate(x, start=1):
         if not 0 <= xi <= i - 1:
             raise ValueError(f"coordinate {i} is {xi}, outside [0, {i - 1}]")
@@ -150,10 +145,8 @@ def _encode(w: Perm) -> InvSeq:
 def inversion_pair(v: Sequence[int], w: Sequence[int]) -> tuple[InvSeq, InvSeq]:
     """Inversion sequences of two permutations of the same size, each
     validated once."""
-    x, y = inversion_sequence(v), inversion_sequence(w)
-    if len(x) != len(y):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(y)}")
-    return x, y
+    v, w = validate_pair(v, w)
+    return _encode(v), _encode(w)
 
 
 def from_inversion_sequence(coords: Sequence[int]) -> Perm:
@@ -407,19 +400,23 @@ def format_permutation(w: Perm) -> str:
     return ",".join(str(v) for v in w)
 
 
+def _parse_ints(text: str, kind: str) -> list[int]:
+    """The comma-separated ints of text; ValueError for anything else, a
+    non-str included."""
+    if not isinstance(text, str):
+        raise ValueError(f"{kind} text must be a str, not {type(text).__name__}")
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} {text!r}") from exc
+
+
 def parse_permutation(text: str) -> Perm:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty permutation string")
-    if "," in text:
-        try:
-            word = [int(part) for part in text.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad permutation {text!r}") from exc
-    else:
-        if not text.isdigit():
-            raise ValueError(f"bad permutation {text!r}")
-        word = [int(ch) for ch in text]
+    """A permutation from comma-separated values, or from a digit string
+    with one value per digit (n <= 9)."""
+    word = _parse_ints(text, "permutation")
+    if "," not in text and text.strip().isdigit():
+        word = [int(ch) for ch in text.strip()]
     return validate_permutation(word)
 
 
@@ -428,8 +425,4 @@ def format_inversion_sequence(x: InvSeq) -> str:
 
 
 def parse_inversion_sequence(text: str) -> InvSeq:
-    try:
-        coords = [int(part) for part in text.strip().split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad inversion sequence {text!r}") from exc
-    return validate_inversion_sequence(coords)
+    return validate_inversion_sequence(_parse_ints(text, "inversion sequence"))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import itertools
 import re
+import reprlib
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .permutations import check_size
@@ -33,7 +34,7 @@ class PosetError(ValueError):
 class FinitePoset:
     def __init__(self, labels: Sequence[Hashable], above: list[int]):
         # above[i] is a bitmask of the j with i <= j (including i itself).
-        self.labels = tuple(labels)
+        self.labels = _within_size_limit(labels)
         self.n = len(self.labels)
         self._index = _label_index(self.labels)
         self._above = above
@@ -54,9 +55,9 @@ class FinitePoset:
             below[j] = mask
         self._below = below
         self._mobius_rows: dict[int, dict[int, int]] = {}
-        # mask -> index, inverting _below and _above; built on first use.
-        self._by_below: Optional[dict[int, int]] = None
-        self._by_above: Optional[dict[int, int]] = None
+        # mask -> index, inverting _below and _above: a meet or a join is one lookup.
+        self._by_below = {mask: k for k, mask in enumerate(below)}
+        self._by_above = {mask: k for k, mask in enumerate(above)}
 
     # -- construction -------------------------------------------------------
 
@@ -156,24 +157,33 @@ class FinitePoset:
         return {(self.labels[i], self.labels[j]) for i, j in self._covers}
 
     def index_of(self, label: Hashable) -> int:
-        return self._index[label]
+        """The index of label; PosetError for a missing or unhashable label."""
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise PosetError(f"no element is labelled {reprlib.repr(label)}") from None
+
+    def _check_pair(self, i: int, j: int) -> None:
+        """PosetError unless i and j are both int indices in range(n)."""
+        if not (type(i) is int and type(j) is int and 0 <= i < self.n and 0 <= j < self.n):
+            raise PosetError(f"indices must be ints in range({self.n})")
 
     def leq(self, i: int, j: int) -> bool:
+        self._check_pair(i, j)
         return bool(self._above[i] >> j & 1)
 
     def leq_labels(self, a: Hashable, b: Hashable) -> bool:
-        return self.leq(self._index[a], self._index[b])
+        return bool(self._above[self.index_of(a)] >> self.index_of(b) & 1)
 
     # -- Moebius -------------------------------------------------------------
 
     def mobius(self, s: int, u: int) -> int:
         """Moebius function; the whole row mu(s, .) is computed on first use."""
-        if not self._above[s] >> u & 1:
-            return 0
+        self._check_pair(s, u)
         row = self._mobius_rows.get(s)
         if row is None:
             row = self._mobius_rows[s] = self._mobius_row(s)
-        return row[u]
+        return row.get(u, 0)
 
     def _mobius_row(self, s: int) -> dict[int, int]:
         """mu(s, u) for every u >= s by the defining sum
@@ -221,7 +231,7 @@ class FinitePoset:
             short_par: dict[int, Optional[int]] = {x: None}
             long_par: dict[int, Optional[int]] = {x: None}
             for y in topo:
-                if y == x or not self.leq(x, y):
+                if y == x or not self._above[x] >> y & 1:
                     continue
                 for p in pred[y]:
                     if p not in longest:
@@ -249,20 +259,24 @@ class FinitePoset:
         """The greatest lower bound of i and j, or None.  It exists iff the
         common down-set is the down-set of some element, which is then the
         meet (Davey & Priestley, Introduction to Lattices and Order, ch. 2)."""
-        if self._by_below is None:
-            self._by_below = {mask: k for k, mask in enumerate(self._below)}
-        return self._by_below.get(self._below[i] & self._below[j])
+        self._check_pair(i, j)
+        return self._meet(i, j)
 
     def join(self, i: int, j: int) -> Optional[int]:
         """The least upper bound of i and j, or None; dual to meet."""
-        if self._by_above is None:
-            self._by_above = {mask: k for k, mask in enumerate(self._above)}
+        self._check_pair(i, j)
+        return self._join(i, j)
+
+    def _meet(self, i: int, j: int) -> Optional[int]:
+        return self._by_below.get(self._below[i] & self._below[j])
+
+    def _join(self, i: int, j: int) -> Optional[int]:
         return self._by_above.get(self._above[i] & self._above[j])
 
     def is_lattice(self) -> bool:
         """Whether every pair has a meet and a join."""
         return all(
-            self.meet(i, j) is not None and self.join(i, j) is not None
+            self._meet(i, j) is not None and self._join(i, j) is not None
             for i in range(self.n)
             for j in range(i + 1, self.n)
         )
@@ -276,7 +290,7 @@ class FinitePoset:
         violation x <= z with x v (y ^ z) < (x v y) ^ z."""
         if not self.is_lattice():
             raise PosetError("pentagon search requires a lattice")
-        meet, join = self.meet, self.join
+        meet, join = self._meet, self._join
         for x in range(self.n):
             for z in _bits(self._above[x] & ~(1 << x)):
                 for y in range(self.n):

@@ -89,8 +89,18 @@ def test_from_leq_rejects_non_orders():
     lambda: FinitePoset.from_covers([[1], [2]], []),
     lambda: chain(2).relabeled([{1}, {2}]),
     lambda: chain(2).relabeled(5),
+    lambda: FinitePoset(5, []),
+    lambda: chain(3).mobius(0, 9),
+    lambda: chain(3).mobius(-1, 2),
+    lambda: chain(3).leq(0, 9),
+    lambda: chain(3).meet(True, 1),
+    lambda: chain(3).join(0, 3),
+    lambda: chain(3).index_of(7),
+    lambda: chain(3).leq_labels([1], 0),
 ], ids=["edge-list-of-bytes", "dot-of-none", "leq-not-callable", "unhashable-labels",
-        "relabeled-unhashable", "relabeled-not-iterable"])
+        "relabeled-unhashable", "relabeled-not-iterable", "init-labels-not-iterable",
+        "mobius-past-the-end", "mobius-negative", "leq-past-the-end", "meet-bool-index",
+        "join-past-the-end", "index-of-missing", "leq-labels-unhashable"])
 def test_junk_arguments_raise_poset_error(call):
     with pytest.raises(PosetError):
         call()
@@ -174,7 +184,7 @@ UNCALLED_ON_PURPOSE = {
         "boolean_lattice": "stock poset, a fixture of the oracle's own tests",
         "pentagon": "stock poset, a fixture of the oracle's own tests",
         "diamond": "stock poset, a fixture of the oracle's own tests",
-        "leq": "the order relation itself; leq_labels, is_graded and _is_n5 read it",
+        "leq": "the order relation itself, for callers outside the package",
         "to_edge_list": "serializer: labels round-trip through text",
         "from_edge_list": "serializer: labels round-trip through text",
     },
