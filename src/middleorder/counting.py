@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 
-from .permutations import Perm, check_size, inversion_pair, inversion_sequence
+from .permutations import Perm, _shown, check_size, inversion_pair, inversion_sequence
 
 COUNTING_LIMIT = 50
 
@@ -80,7 +80,7 @@ def is_boolean_interval(v: Perm, w: Perm) -> tuple[bool, int]:
     x, y = inversion_pair(v, w)
     diffs = [b - a for a, b in zip(x, y)]
     if any(d < 0 for d in diffs):
-        raise ValueError(f"{v} is not below {w} in the middle order")
+        raise ValueError(f"{_shown(v)} is not below {_shown(w)} in the middle order")
     if any(d > 1 for d in diffs):
         return False, 0
     return True, sum(diffs)
@@ -95,30 +95,27 @@ def boolean_interval_total(n: int) -> int:
     return value
 
 
-# Leading columns (c(n, 0), ..., c(n, w - 1)) of the rows computed so far, by n.
-_STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
+# Rows (c(m, 0), ..., c(m, m)) computed so far, row m at index m.
+_STIRLING_ROWS = [(1,)]
 
 
 def stirling_first_unsigned(n: int, j: int) -> int:
-    """c(n, j): permutations of size n with j cycles, for n(j+1) <= 20000."""
+    """c(n, j): permutations of size n with j cycles, for n(j+1) <= 20000, by
+    c(m, k) = c(m-1, k-1) + (m-1) c(m-1, k) on the columns 0..j alone; stores nothing."""
     check_size(j, 0, name="j")
     check_size(n, 0, 20000 // (j + 1), why="c(n, j) takes n(j+1) big-integer additions")
-    return _stirling_columns(n, j + 1)[j] if j <= n else 0
+    row = (1,)
+    for m in range(1, n + 1):
+        row = tuple(a + (m - 1) * b for a, b in zip((0,) + row, row + (0,)))[:j + 1]
+    return row[j] if j <= n else 0
 
 
-def _stirling_columns(n: int, width: int) -> tuple[int, ...]:
-    """At least the columns c(n, 0), ..., c(n, width - 1), width <= n + 1.
-    They are built, then memoised, from the nearest memoised row below n
-    that holds them, by c(m, k) = c(m-1, k-1) + (m-1) c(m-1, k), which
-    needs no column beyond k."""
-    row = _STIRLING_ROWS.get(n, ())
-    if len(row) < width:
-        start = max(m for m, r in _STIRLING_ROWS.items() if m < n and len(r) >= min(width, m + 1))
-        row = _STIRLING_ROWS[start][:width]
-        for m in range(start + 1, n + 1):
-            row = tuple(a + (m - 1) * b for a, b in zip((0,) + row, row + (0,)))[:width]
-        _STIRLING_ROWS[n] = row
-    return row
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """(c(n, 0), ..., c(n, n)), grown into _STIRLING_ROWS on demand; callers check n."""
+    for m in range(len(_STIRLING_ROWS), n + 1):
+        row = _STIRLING_ROWS[-1]
+        _STIRLING_ROWS.append(tuple(a + (m - 1) * b for a, b in zip((0,) + row, row + (0,))))
+    return _STIRLING_ROWS[n]
 
 
 def boolean_by_rank(n: int) -> tuple[int, ...]:
@@ -127,7 +124,7 @@ def boolean_by_rank(n: int) -> tuple[int, ...]:
     Computed by the closed formula b(n,k) = sum_i C(i,k) c(n,n-i).
     """
     check_size(n, most=COUNTING_LIMIT)
-    c = _stirling_columns(n, n + 1)[::-1]  # c[i] = c(n, n - i)
+    c = _stirling_row(n)[::-1]  # c[i] = c(n, n - i)
     return tuple(sum(math.comb(i, k) * c[i] for i in range(n + 1)) for k in range(n))
 
 
@@ -142,7 +139,7 @@ def euler_distribution(n: int) -> tuple[int, ...]:
     """Histogram of the Euler characteristic over S_n: entry k, the number
     of w with k right-to-left non-minima, is c(n, n-k)."""
     check_size(n, most=COUNTING_LIMIT)
-    return _stirling_columns(n, n + 1)[:0:-1]
+    return _stirling_row(n)[:0:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +158,8 @@ def table_rows(kind: str, n: int) -> list[tuple[int, tuple[int, ...]]]:
     if kind == "euler":
         return [(m, euler_distribution(m)) for m in range(1, n + 1)]
     if kind == "stirling":
-        return [(m, _stirling_columns(m, m + 1)) for m in range(1, n + 1)]
-    raise ValueError(f"unknown table kind {kind!r}")
+        return [(m, _stirling_row(m)) for m in range(1, n + 1)]
+    raise ValueError(f"unknown table kind {_shown(kind)}")
 
 
 def rows_to_csv(rows: list[tuple[int, tuple[int, ...]]]) -> str:

@@ -9,7 +9,6 @@ for slow-climbing involutions and 0 otherwise.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .orders import _codes_leq, middle_subposet
@@ -19,6 +18,7 @@ from .permutations import (
     _decode,
     _encode,
     _is_involution,
+    _shown,
     check_size,
     validate_inversion_sequence,
     validate_permutation,
@@ -73,11 +73,7 @@ def all_involutions(n: int) -> tuple[Perm, ...]:
     j < m, the other m-2 values carrying an involution of size m-2.
     ValueError beyond n = 14, where i(n) would exceed 10!.
     """
-    return _all_involutions(check_size(n, most=14, why="i(n) would exceed 10!"))
-
-
-@lru_cache(maxsize=None)
-def _all_involutions(n: int) -> tuple[Perm, ...]:
+    check_size(n, most=14, why="i(n) would exceed 10!")
     before, current = [()], [(1,)]
     for m in range(2, n + 1):
         paired = [_pair_with_top(u, j, m) for j in range(1, m) for u in before]
@@ -110,9 +106,9 @@ def slow_climb_decompose(coords: InvSeq) -> list[tuple[int, ...]]:
     """
     x = validate_inversion_sequence(coords)
     if not _seq_check(x):
-        raise ValueError(f"{x} is not the inversion sequence of an involution")
+        raise ValueError(f"{_shown(x)} is not the inversion sequence of an involution")
     if not _slow_climbing(x):
-        raise ValueError(f"{x} is not slow-climbing")
+        raise ValueError(f"{_shown(x)} is not slow-climbing")
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
     for v in x:
@@ -192,7 +188,7 @@ def _involution_code(w: Perm) -> InvSeq:
     """The inversion sequence of w, which is validated once as an involution."""
     w = validate_permutation(w)
     if not _is_involution(w):
-        raise ValueError(f"{w} is not an involution")
+        raise ValueError(f"{_shown(w)} is not an involution")
     return _encode(w)
 
 

@@ -15,7 +15,7 @@ import itertools
 import operator
 from typing import Iterator, Sequence, Union
 
-from .permutations import _int_word, _parse_ints, check_size
+from .permutations import _int_word, _parse_ints, _shown, check_size
 from .posets import FinitePoset
 
 
@@ -41,7 +41,7 @@ ParkingFunction = Union[tuple[int, ...], _Top]
 def validate_parking_function(prefs: Sequence[int]) -> tuple[int, ...]:
     p = _preferences(prefs)
     if not _parks(p):
-        raise ValueError(f"{p!r} is not a parking function")
+        raise ValueError(f"{_shown(p)} is not a parking function")
     return p
 
 
@@ -55,7 +55,7 @@ def _preferences(prefs: Sequence[int]) -> tuple[int, ...]:
     p = _int_word(prefs, "preferences")
     n = len(p)
     if min(p) < 1 or max(p) > n:
-        raise ValueError(f"preferences must be ints in [1, {n}]: {p!r}")
+        raise ValueError(f"preferences must be ints in [1, {n}]: {_shown(p)}")
     return p
 
 

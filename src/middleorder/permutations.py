@@ -15,6 +15,7 @@ w -> I(w) is a bijection from S_n onto the full box of such vectors.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -39,7 +40,7 @@ def _int_word(seq: Sequence[int], kind: str) -> tuple[int, ...]:
     if not word:
         raise ValueError(f"{kind} of size 0 is not supported")
     if set(map(type, word)) != {int}:
-        raise ValueError(f"{kind} entries must be int: {word!r}")
+        raise ValueError(f"{kind} entries must be int: {_shown(word)}")
     return word
 
 
@@ -49,7 +50,7 @@ def validate_permutation(word: Sequence[int]) -> Perm:
     n = len(w)
     # With every entry an int, n distinct values from 1 to n are exactly {1..n}.
     if len(set(w)) != n or min(w) != 1 or max(w) != n:
-        raise ValueError(f"not a permutation of {{1..{n}}}: {w!r}")
+        raise ValueError(f"not a permutation of {{1..{n}}}: {_shown(w)}")
     return w
 
 
@@ -67,21 +68,30 @@ def validate_inversion_sequence(coords: Sequence[int]) -> InvSeq:
     x = _int_word(coords, "inversion sequence")
     for i, xi in enumerate(x, start=1):
         if not 0 <= xi <= i - 1:
-            raise ValueError(f"coordinate {i} is {xi}, outside [0, {i - 1}]")
+            raise ValueError(f"coordinate {i} is {_shown(xi)}, outside [0, {i - 1}]")
     return x
 
 
 def check_size(n: object, least: int = 1, most: int | None = None,
                name: str = "n", why: str = "") -> int:
     """n if it is a plain int in [least, most], else ValueError (bool and
-    float too); the message shows n only while it is short to print."""
+    float too); the message shows n through _shown."""
     if type(n) is not int:
         raise ValueError(f"{name} must be an int, not {type(n).__name__}")
     if n < least or most is not None and n > most:
         bound = f">= {least}" if most is None else f"in [{least}, {most}]"
-        shown = n if n.bit_length() <= 64 else f"an int of {n.bit_length()} bits"
-        raise ValueError(f"{name} must be {bound}{f' ({why})' if why else ''}, not {shown}")
+        raise ValueError(f"{name} must be {bound}{f' ({why})' if why else ''}, not {_shown(n)}")
     return n
+
+
+class _BoundedRepr(reprlib.Repr):
+    """reprlib's repr, but an int past 64 bits shows its bit count (no digits)."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        return repr(x) if x.bit_length() <= 64 else f"an int of {x.bit_length()} bits"
+
+
+_shown = _BoundedRepr().repr  # a value from outside, bounded for a refusal message
 
 
 def identity(n: int) -> Perm:
@@ -261,9 +271,9 @@ class MeshPattern:
             mesh = frozenset(self.mesh)
             outside = [c for c in mesh if len(c) != 2 or not all(0 <= i <= k for i in c)]
         except TypeError:
-            raise ValueError(f"mesh must be a set of cells (a, b), not {self.mesh!r}") from None
+            raise ValueError(f"mesh must be a set of cells (a, b), not {_shown(self.mesh)}") from None
         if outside:
-            raise ValueError(f"mesh cell {outside[0]} outside [0,{k}]x[0,{k}]")
+            raise ValueError(f"mesh cell {_shown(outside[0])} outside [0,{k}]x[0,{k}]")
         object.__setattr__(self, "mesh", mesh)
 
 
@@ -408,7 +418,7 @@ def _parse_ints(text: str, kind: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"bad {kind} {text!r}") from exc
+        raise ValueError(f"bad {kind} {_shown(text)}") from exc
 
 
 def parse_permutation(text: str) -> Perm:

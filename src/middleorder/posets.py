@@ -17,10 +17,9 @@ from __future__ import annotations
 import copy
 import itertools
 import re
-import reprlib
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .permutations import check_size
+from .permutations import _shown, check_size
 
 ISO_SIZE_LIMIT = 64
 # The builders refuse more elements: n elements take n^2 bits of masks.
@@ -37,6 +36,10 @@ class FinitePoset:
         self.labels = _within_size_limit(labels)
         self.n = len(self.labels)
         self._index = _label_index(self.labels)
+        top = 1 << self.n
+        if not (type(above) is list and len(above) == self.n and all(
+                type(m) is int and 0 <= m < top and m >> i & 1 for i, m in enumerate(above))):
+            raise PosetError(f"above must be a list of {self.n} masks, the i-th with bit i")
         self._above = above
         # Strictly larger up-sets come first: a topological order.
         self._order = sorted(range(self.n), key=lambda i: -above[i].bit_count())
@@ -95,7 +98,7 @@ class FinitePoset:
                 if leq(labels[i], labels[j]):
                     mask |= 1 << j
             if not mask >> i & 1:
-                raise PosetError(f"relation not reflexive at {labels[i]!r}")
+                raise PosetError(f"relation not reflexive at {_shown(labels[i])}")
             above[i] = mask
         for i, mi in enumerate(above):
             for j in _bits(mi & ~(1 << i)):
@@ -161,7 +164,7 @@ class FinitePoset:
         try:
             return self._index[label]
         except (KeyError, TypeError):
-            raise PosetError(f"no element is labelled {reprlib.repr(label)}") from None
+            raise PosetError(f"no element is labelled {_shown(label)}") from None
 
     def _check_pair(self, i: int, j: int) -> None:
         """PosetError unless i and j are both int indices in range(n)."""
@@ -220,33 +223,26 @@ class FinitePoset:
         Returns (True, ranks) with ranks computed as longest-path distance
         from the minimal elements, or (False, (chain_a, chain_b)) with two
         saturated chains of different lengths between the same endpoints.
+        Up from x in topological order, y takes rank[p] + 1 from its first lower cover
+        p above x; if every [x, q] below is graded, so is [x, y] iff all share p's rank.
         """
         topo = self._order
         pred: list[list[int]] = [[] for _ in range(self.n)]
         for lo, hi in self._covers:
             pred[hi].append(lo)
         for x in range(self.n):
-            shortest = {x: 0}
-            longest = {x: 0}
-            short_par: dict[int, Optional[int]] = {x: None}
-            long_par: dict[int, Optional[int]] = {x: None}
+            rank = {x: 0}
+            parent: dict[int, Optional[int]] = {x: None}
             for y in topo:
                 if y == x or not self._above[x] >> y & 1:
                     continue
-                for p in pred[y]:
-                    if p not in longest:
-                        continue
-                    if y not in shortest or shortest[p] + 1 < shortest[y]:
-                        shortest[y] = shortest[p] + 1
-                        short_par[y] = p
-                    if y not in longest or longest[p] + 1 > longest[y]:
-                        longest[y] = longest[p] + 1
-                        long_par[y] = p
-                if y in longest and shortest[y] != longest[y]:
-                    return False, (
-                        _walk_back(y, short_par),
-                        _walk_back(y, long_par),
-                    )
+                covers = [p for p in pred[y] if p in rank]
+                p = covers[0]
+                for q in covers:
+                    if rank[q] != rank[p]:
+                        return False, (_walk_back(p, parent) + [y], _walk_back(q, parent) + [y])
+                rank[y] = rank[p] + 1
+                parent[y] = p
         ranks = [0] * self.n
         for y in topo:
             for p in pred[y]:
@@ -404,7 +400,7 @@ class FinitePoset:
         texts = _distinct_texts([str(lab) for lab in self.labels])
         for text in texts:
             if text.splitlines() != [text] or text != text.strip() or " < " in text + " ":
-                raise PosetError(f"label {text!r} cannot be written as an edge list")
+                raise PosetError(f"label {_shown(text)} cannot be written as an edge list")
         if len({i for pair in self._covers for i in pair}) != self.n:
             raise PosetError("an element in no cover cannot be written as an edge list")
         lines = sorted(f"{texts[i]} < {texts[j]}" for i, j in self._covers)
@@ -592,18 +588,18 @@ def _topological_order(
     n: int, cover_pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[list[int]]]:
     """A topological order of the cover pairs, and each element's upper
-    covers, repeats dropped; PosetError for a size that is not an int >= 0,
-    a pair that is not two indices in range, or a cycle (or self-loop)."""
-    if type(n) is not int or n < 0:
-        raise PosetError(f"size must be an int >= 0, not {n!r}")
-    if n > POSET_SIZE_LIMIT:
-        raise PosetError(f"size exceeds the limit of {POSET_SIZE_LIMIT} elements")
+    covers, repeats dropped; PosetError for a size check_size refuses, a
+    pair that is not two indices in range, or a cycle (or self-loop)."""
+    try:
+        check_size(n, 0, POSET_SIZE_LIMIT, name="size", why="a larger one exceeds the limit")
+    except ValueError as err:
+        raise PosetError(str(err)) from None
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     try:
         for lo, hi in dict.fromkeys(cover_pairs):  # drops repeats, keeps order
             if not (0 <= lo < n and 0 <= hi < n):
-                raise PosetError(f"dangling index in cover ({lo}, {hi})")
+                raise PosetError(f"dangling index in cover {_shown((lo, hi))}")
             succ[lo].append(hi)
             indeg[hi] += 1
     except TypeError as err:

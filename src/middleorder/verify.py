@@ -515,21 +515,21 @@ def suite_mobius(n_max: int = 5) -> list[CheckResult]:
 
 
 @lru_cache(maxsize=None)
-def _involution_codes(n: int) -> tuple[tuple[int, ...], ...]:
-    """The codes of all_involutions(n), encoded once for the checks below."""
-    return tuple(inversion_sequence(w) for w in involutions.all_involutions(n))
+def _involutions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """all_involutions(n) and their codes, each made once for the checks below."""
+    invs = involutions.all_involutions(n)
+    return invs, tuple(map(inversion_sequence, invs))
 
 
 @lru_cache(maxsize=None)
 def _slow_codes(n: int) -> tuple[tuple[int, ...], ...]:
     """The codes of the slow-climbing involutions of size n, in order,
     found once for the checks below."""
-    return tuple(filter(involutions._slow_climbing, _involution_codes(n)))
+    return tuple(filter(involutions._slow_climbing, _involutions(n)[1]))
 
 
 def _generated_involutions_check(n: int) -> list[CheckResult]:
-    invs = involutions.all_involutions(n)
-    codes = _involution_codes(n)
+    invs, codes = _involutions(n)
     # () sorts before every code, so the first involution has no predecessor to fail.
     miscounted = [] if len(invs) == involutions.involution_count(n) else [("count", len(invs))]
     return [_holds(f"generated involutions are all involutions, in order n={n}", itertools.chain(
@@ -543,7 +543,7 @@ def _involution_test_check(n: int) -> list[CheckResult]:
     # The check above shows these codes are every involution's.
     accepted = set(filter(involutions._seq_check, all_inversion_sequences(n)))
     return [_holds(f"inversion-sequence involution test n={n}",
-                   sorted(accepted.symmetric_difference(_involution_codes(n))))]
+                   sorted(accepted.symmetric_difference(_involutions(n)[1])))]
 
 
 def _slow_climbing_blocks_check(n: int) -> list[CheckResult]:
@@ -560,7 +560,7 @@ def _slow_climbing_blocks_check(n: int) -> list[CheckResult]:
                 or any(b != tuple(range(len(b))) for b in blocks))
 
     return [_holds(f"slow-climbing equals block form n={n}", itertools.chain(
-        filter(mismatch, _involution_codes(n)),
+        filter(mismatch, _involutions(n)[1]),
         sorted(set(involutions._block_codes(n)).symmetric_difference(_slow_codes(n))),
     ))]
 
@@ -611,7 +611,7 @@ def _maximal_slow_climbers_check(n: int) -> list[CheckResult]:
         return m_w and below and covered and antichain
 
     return [_holds(f"maximal slow-climbers dominate every slow-climber n={n}",
-                   (w for w, y in zip(involutions.all_involutions(n), _involution_codes(n))
+                   (w for w, y in zip(*_involutions(n))
                     if not dominates(w, y)))]
 
 
@@ -625,7 +625,7 @@ def _mobius_involution_check(n: int) -> list[CheckResult]:
 
 def _boolean_ideal_check(n: int) -> list[CheckResult]:
     return [_holds(f"boolean-ideal Moebius consistency n={n}", (
-        w for w, x in zip(involutions.all_involutions(n), _involution_codes(n))
+        w for w, x in zip(*_involutions(n))
         if all(v in (0, 1) for v in x) and not any(a == b == 1 for a, b in zip(x, x[1:]))
         and involutions.mobius_involution_ideal(w) != orders.mobius_middle(identity(n), w)
     ))]

@@ -53,6 +53,12 @@ def test_generated_involutions_equal_the_filter(n):
     assert all_involutions(n) == tuple(w for w in all_permutations(n) if is_involution(w))
 
 
+def test_all_involutions_keeps_nothing_between_calls():
+    first = all_involutions(5)
+    assert all_involutions(5) is not first
+    assert all_involutions(5) == first
+
+
 def test_all_involutions_rejects_size_zero():
     with pytest.raises(ValueError):
         all_involutions(0)
@@ -189,7 +195,6 @@ def test_maximal_slow_climbing_below_at_the_largest_size():
 
 def test_involution_queries_validate_their_argument_once(monkeypatch):
     w = (2, 1, 4, 3)
-    all_involutions(len(w))  # enumerated (and cached) before counting
     seen = []
     real = permutations.validate_permutation
 

@@ -97,10 +97,12 @@ def test_from_leq_rejects_non_orders():
     lambda: chain(3).join(0, 3),
     lambda: chain(3).index_of(7),
     lambda: chain(3).leq_labels([1], 0),
+    lambda: chain(2).index_of(10**5000),
 ], ids=["edge-list-of-bytes", "dot-of-none", "leq-not-callable", "unhashable-labels",
         "relabeled-unhashable", "relabeled-not-iterable", "init-labels-not-iterable",
         "mobius-past-the-end", "mobius-negative", "leq-past-the-end", "meet-bool-index",
-        "join-past-the-end", "index-of-missing", "leq-labels-unhashable"])
+        "join-past-the-end", "index-of-missing", "leq-labels-unhashable",
+        "index-of-huge-int"])
 def test_junk_arguments_raise_poset_error(call):
     with pytest.raises(PosetError):
         call()
@@ -191,6 +193,7 @@ UNCALLED_ON_PURPOSE = {
     "permutations": {
         "long_element": "public: the top of the middle order",
         "cycles": "cycle_count and foata_image are built on it",
+        "repr_int": "reprlib hook: Repr.repr calls it for each int it shows",
     },
 }
 
@@ -345,6 +348,38 @@ def test_ungraded_witness_chains():
     assert len(short) != len(long)
 
 
+def maximal_chain_lengths(p, x, y):
+    """The lengths of the saturated chains from x to y, by the definition."""
+    if x == y:
+        return {0}
+    return {1 + k for lo, hi in p.covers if lo == x and p.leq(hi, y)
+            for k in maximal_chain_lengths(p, hi, y)}
+
+
+def test_is_graded_matches_every_maximal_chain_of_every_interval():
+    # Points of a 3 x 3 grid under the componentwise order give an
+    # ungraded poset about one time in six; random DAGs seldom do.
+    rng = random.Random(11)
+    cells = list(itertools.product(range(3), repeat=2))
+    posets = [random_dag_poset(rng, rng.randint(1, 7)) for _ in range(100)]
+    posets += [FinitePoset.from_vectors(pts, pts)
+               for pts in (rng.sample(cells, rng.randint(1, 7)) for _ in range(200))]
+    verdicts = []
+    for p in posets:
+        lengths = {(x, y): maximal_chain_lengths(p, x, y) for x, y in strict_pairs(p)}
+        graded, found = p.is_graded()
+        assert graded == all(len(ks) == 1 for ks in lengths.values())
+        verdicts.append(graded)
+        if graded:  # the rank of y is the length of the longest chain ending at y
+            assert found == [max([0] + [max(ks) for (_, top), ks in lengths.items() if top == y])
+                             for y in range(p.n)]
+        else:
+            a, b = found
+            assert a[0] == b[0] and a[-1] == b[-1] and len(a) != len(b)
+            assert all((lo, hi) in p.covers for c in (a, b) for lo, hi in zip(c, c[1:]))
+    assert verdicts.count(False) >= 20
+
+
 # -- lattice structure -----------------------------------------------------------------
 
 
@@ -497,7 +532,7 @@ def test_certificate_rejects_malformed_diagrams():
     assert birkhoff(2, [(0, 1), (0, 1)]) == ([0, 1], [0])
     for n, covers in ((2, [(0, 2)]), (2, [(-1, 0)]), (2, [(0, 1), (1, 0)]),
                       (1, [(0, 0)]), (-1, []), (1.5, []), (True, []), (2, [("x", 1)]),
-                      (2, [(0.0, 1)]), (2, 7)):
+                      (2, [(0.0, 1)]), (2, 7), (-10**5000, [])):
         with pytest.raises(PosetError):
             birkhoff(n, covers)
 

@@ -8,14 +8,18 @@ import ast
 import inspect
 import itertools
 import math
+import operator
 import pathlib
 import re
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 import middleorder
-from middleorder import MeshPattern, heyting, involutions, orders, parking, permutations, posets
+from middleorder import (MeshPattern, counting, heyting, involutions, orders, parking, permutations,
+                         posets)
+from middleorder.cli import main
 from middleorder.involutions import all_involutions, involution_count
 from middleorder.permutations import check_size, identity, long_element
 from middleorder.posets import POSET_SIZE_LIMIT
@@ -221,3 +225,79 @@ def test_builders_refuse_an_oversized_poset_before_enumerating(
     with pytest.raises(ValueError, match="poset size limit"):
         builder(most + 1)
 
+
+
+# Values that are no valid argument anywhere, or valid but cheap.
+JUNK = (None, True, 2.0, math.nan, -1, 0, 2**70, -10**5000, "3", "", "ab", b"1,2", [], [None],
+        (True,), (1, 2**70), ((0, 1), 5), [[1], [2]], {1}, {"a": 1}, object())
+# Valid positional arguments of each callable under test, other than the
+# public size- and word-taking names, which take theirs from the tables above.
+VALID = {
+    middleorder.FinitePoset: ([0], [1]),
+    middleorder.PosetError: ("message",),
+    posets.FinitePoset.from_covers: ([0, 1], [(0, 1)]),
+    posets.FinitePoset.from_leq: ([0, 1], operator.eq),
+    posets.FinitePoset.from_vectors: ([0, 1], [(0,), (1,)]),
+    posets.FinitePoset.from_edge_list: ("a < b\n",),
+    posets.FinitePoset.from_dot: ('digraph p {\n  "a" -> "b";\n}\n',),
+    posets.chain(2).relabeled: ("ab",),
+    posets.chain: (2,),
+    posets.antichain: (2,),
+    posets.boolean_lattice: (2,),
+    posets.birkhoff: (2, [(0, 1)]),
+    permutations.parse_permutation: ("21",),
+    permutations.parse_inversion_sequence: ("0,1",),
+    parking.parse_parking: ("1,1",),
+}
+
+
+def test_junk_in_any_argument_position_returns_or_raises_value_error():
+    calls = dict(VALID)
+    for name in middleorder.__all__:
+        obj = getattr(middleorder, name)
+        if name in WORDS:
+            calls[obj] = tuple(WORDS[name].values())
+        elif name in OVER_BUDGET:
+            calls[obj] = (2,) * len(OVER_BUDGET[name])
+        else:
+            assert obj in calls or not callable(obj), name
+    failures = []
+    for func, args in calls.items():
+        func(*args)
+        for position, bad in itertools.product(range(len(args)), JUNK):
+            try:
+                func(*args[:position], bad, *args[position + 1:])
+            except ValueError:
+                pass
+            except Exception as exc:
+                failures.append((getattr(func, "__qualname__", func), position,
+                                 permutations._shown(bad), repr(exc)[:80]))
+    assert not failures, failures
+
+
+def test_refusals_show_a_long_word_in_bounded_form():
+    n = 10**5
+    word = list(range(1, n + 1))
+    word[-1] = 1  # one repeated value: no permutation, involution or sequence
+    refusals = [
+        lambda: permutations.validate_permutation(word),
+        lambda: permutations.validate_inversion_sequence(word),
+        lambda: permutations._int_word(word + [True], "word"),
+        lambda: permutations.parse_permutation(",".join(map(str, word)) + ",x"),
+        lambda: parking.validate_parking_function([n] * n),
+        lambda: parking._preferences(word + [n + 2]),
+        lambda: middleorder.is_boolean_interval(long_element(n), identity(n)),
+        lambda: involutions._involution_code((2, 3, 1) + tuple(range(4, n + 1))),
+        lambda: involutions.slow_climb_decompose([0] * (n - 2) + [1, 1]),
+        # an involution with the ascent 1 < 3 in its code
+        lambda: involutions.slow_climb_decompose((0, 1, 1, 3) + (0,) * (n - 4)),
+        lambda: check_size(-10**5000),
+        lambda: posets.FinitePoset.from_covers(["a" * n + "\n", "b"], [(0, 1)]).to_edge_list(),
+        lambda: counting.table_rows("a" * n, 3),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert len(str(err.value)) < 200, str(err.value)[:300]
+    result = CliRunner().invoke(main, ["query", "invseq", ",".join(map(str, word))])
+    assert result.exit_code == 2 and len(result.output) < 400, result.output[:500]

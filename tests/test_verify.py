@@ -58,6 +58,31 @@ def test_library_has_no_assert():
     assert not found, found
 
 
+# The one cache outside verify, and why it stays: weak_leq and bruhat_leq
+# read the closure on every call.
+CACHED = {("orders", "_rise_closure")}
+
+
+def test_library_caches_only_in_verify():
+    # Each use of functools' lru_cache or cache, by the function it decorates.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in func.decorator_list:
+                    owner.update(dict.fromkeys(ast.walk(decorator), func.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+                    or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                    and ast.unparse(node.value) == "functools"):
+                found.add((path.stem, owner.get(node, f"line {node.lineno}")))
+    assert found == CACHED, found
+
+
 def test_library_does_not_import_its_oracles():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
