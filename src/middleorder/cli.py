@@ -15,6 +15,7 @@ import click
 # query compiles only what it needs; counting.TABLE_KINDS feeds a Choice.
 from . import counting
 from .permutations import (
+    _shown,
     format_inversion_sequence,
     format_permutation,
     inversion_sequence,
@@ -160,7 +161,7 @@ def cmd_query(expr: tuple[str, ...]) -> None:
 def _evaluate(tokens: list[str]) -> str:
     op, args = tokens[0], tokens[1:]
     if op not in QUERIES:
-        raise ValueError(f"unknown operation {op!r}")
+        raise ValueError(f"unknown operation {_shown(op)}")
     names, parse, module, function, show, _ = QUERIES[op]
     arity = len(names.split())
     if len(args) != arity:

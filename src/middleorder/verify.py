@@ -3,11 +3,12 @@ Named verification suites cross-checking every closed form in the
 package against brute force, and the independent oracles they use.
 
 The oracles re-derive a fact by a second route (the definitional
-inversion count, the direct weak and Bruhat cover definitions, the
-Euler-characteristic histogram over S_n, the boolean-count recursion,
-the car-parking simulation, the listing construction of
-pseudocomplements, the definitional cluster scan, both distributive
-laws checked on every triple, ...); the library never calls them, so a
+inversion count, the direct cover definitions and the shaded-rise swaps
+of the three orders, the Euler-characteristic histogram over S_n, the
+boolean-count recursion, the car-parking simulation, the listing
+construction of pseudocomplements, the definitional cluster scan, both
+distributive laws checked on every triple, the partial-order axioms
+checked on every triple, ...); the library never calls them, so a
 suite compares two implementations that share no code.  Ranks, interval
 and boolean rows and the regular boolean algebra are read off one
 Birkhoff embedding (posets.birkhoff); no check searches for isomorphisms.
@@ -54,6 +55,7 @@ from .permutations import (
     is_involution,
     mesh_contains,
     right_to_left_minima,
+    shading_is_empty,
 )
 
 TABLE1 = {
@@ -210,6 +212,17 @@ def is_distributive_by_triples(poset: posets.FinitePoset) -> bool:
     return True
 
 
+def is_partial_order_by_definition(above: Sequence[int]) -> bool:
+    """Whether i <= j iff bit j of above[i] is reflexive, antisymmetric
+    and transitive, checked on every element, pair and triple."""
+    rng = range(len(above))
+    leq = [[above[i] >> j & 1 for j in rng] for i in rng]
+    return (all(leq[i][i] for i in rng)
+            and not any(leq[i][j] and leq[j][i] for i, j in itertools.permutations(rng, 2))
+            and all(leq[i][k] or not (leq[i][j] and leq[j][k])
+                    for i, j, k in itertools.product(rng, repeat=3)))
+
+
 def _rise_transpositions(v) -> dict:
     """v with the entries of one rise v[a] < v[b], a < b, swapped, mapped
     to the positions (a, b): every candidate upper cover in the middle,
@@ -221,6 +234,19 @@ def _rise_transpositions(v) -> dict:
             word[a], word[b] = word[b], word[a]
             out[tuple(word)] = (a, b)
     return out
+
+
+# The paper's claim: each order's upper covers swap a rise 12 whose column
+# between the positions is shaded below its top value (middle,
+# orders.MIDDLE_RISE), entirely (weak) or between its two values (Bruhat).
+WEAK_RISE = MeshPattern((1, 2), {(1, 0), (1, 1), (1, 2)})
+BRUHAT_RISE = MeshPattern((1, 2), {(1, 1)})
+
+
+def _rise_swaps(v, rise: MeshPattern) -> set:
+    """v with the two entries of each occurrence of the shaded rise swapped."""
+    return {w for w, (a, b) in _rise_transpositions(v).items()
+            if shading_is_empty(v, (a + 1, b + 1), rise)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +314,22 @@ def _sandwich_checks(n: int) -> list[CheckResult]:
     ]
 
 
-SANDWICH = (Check(1, 6, _sandwich_checks),)
+def _comparisons_check(n: int) -> list[CheckResult]:
+    # The mesh suite shows that each poset has its order's covers; the
+    # public comparisons must agree with the poset on every pair.
+    return [_holds(f"weak_leq and bruhat_leq match their posets on all pairs n={n}", (
+        (kind, poset.labels[i], poset.labels[j])
+        for kind, leq, poset in (("weak", orders.weak_leq, orders.weak_poset(n)),
+                                 ("bruhat", orders.bruhat_leq, orders.bruhat_poset(n)))
+        for i, j in itertools.product(range(poset.n), repeat=2)
+        if leq(poset.labels[i], poset.labels[j]) != poset.leq(i, j)
+    ))]
+
+
+SANDWICH = (
+    Check(1, 6, _sandwich_checks),
+    Check(1, 4, _comparisons_check),
+)
 
 
 def suite_sandwich(n_max: int = 6) -> list[CheckResult]:
@@ -310,21 +351,36 @@ def _rise_count_examples(_n: int) -> list[CheckResult]:
 
 
 def _cover_characterizations(n: int) -> list[CheckResult]:
-    # The direct cover definitions: a weak cover swaps a rise in adjacent
-    # positions, a Bruhat cover a rise whose swap adds exactly one
-    # inversion (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.1).
+    # For each order, three sets of upper covers of v agree: the library's
+    # (upper_covers, or the covers of the poset built from the order's
+    # criterion), the shaded-rise swaps, and the direct definitions: a
+    # middle cover raises one coordinate by one, a weak cover swaps a rise
+    # in adjacent positions, a Bruhat cover a rise whose swap adds exactly
+    # one inversion (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.1).
+    # Equal covers make each criterion-built poset the closure of its
+    # defining covers.
+    built = {}
+    for kind, poset in (("weak", orders.weak_poset(n)), ("bruhat", orders.bruhat_poset(n))):
+        built[kind] = up = {label: set() for label in poset.labels}
+        for v, w in poset.cover_labels():
+            up[v].add(w)
+
     def mismatches(v):
         swaps = _rise_transpositions(v)
-        inversions = sum(inversion_sequence_by_counting(v))
+        x = inversion_sequence_by_counting(v)
+        steps = {w: sorted(b - a for a, b in zip(x, inversion_sequence_by_counting(w)))
+                 for w in swaps}
         mid = set(orders.upper_covers(v))
         wrong = [
-            kind for kind, rise, covers in (
-                ("middle", orders.MIDDLE_RISE, mid),
-                ("weak", orders.WEAK_RISE, {w for w, (a, b) in swaps.items() if b == a + 1}),
-                ("bruhat", orders.BRUHAT_RISE,
-                 {w for w in swaps if sum(inversion_sequence_by_counting(w)) == inversions + 1}),
+            kind for kind, rise, library, direct in (
+                ("middle", orders.MIDDLE_RISE, mid,
+                 {w for w, d in steps.items() if d == [0] * (n - 1) + [1]}),
+                ("weak", WEAK_RISE, built["weak"][v],
+                 {w for w, (a, b) in swaps.items() if b == a + 1}),
+                ("bruhat", BRUHAT_RISE, built["bruhat"][v],
+                 {w for w, d in steps.items() if sum(d) == 1}),
             )
-            if set(orders._rise_swaps(v, rise)) != covers
+            if not _rise_swaps(v, rise) == library == direct
         ]
         if any(orders.cover_mesh_witness(v, w) is None for w in mid):
             wrong.append("witness")
@@ -487,6 +543,21 @@ def _triple_scan_check(n: int) -> list[CheckResult]:
                     if (poset := build(n)).is_distributive() != is_distributive_by_triples(poset)))]
 
 
+def _constructor_check(n: int) -> list[CheckResult]:
+    def accepts(above):
+        try:
+            posets.FinitePoset(range(n), above)
+        except posets.PosetError:
+            return False
+        return True
+
+    # Every reflexive relation on n elements: the i-th mask holds bit i.
+    masks = [[m for m in range(1 << n) if m >> i & 1] for i in range(n)]
+    return [_holds(f"poset constructor accepts exactly the partial orders n={n}",
+                   (above for above in map(list, itertools.product(*masks))
+                    if accepts(above) != is_partial_order_by_definition(above)))]
+
+
 def _join_irreducibles_check(n: int) -> list[CheckResult]:
     ji = orders.join_irreducibles(n)
     poset = orders.middle_poset(n)
@@ -502,6 +573,7 @@ MOBIUS = (
     Check(1, 6, _upper_covers_check),
     Check(1, 8, _distributive_lattice_check),
     Check(1, 4, _triple_scan_check),
+    Check(1, 3, _constructor_check),
     Check(1, 5, _join_irreducibles_check),
 )
 

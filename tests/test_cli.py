@@ -144,6 +144,13 @@ def test_query_errors_exit_2(runner):
         assert invoke(runner, *args).exit_code == 2
 
 
+def test_query_shows_an_unknown_operation_in_bounded_form(runner):
+    result = invoke(runner, "query", "x" * 10**5, "1")
+    message = result.output.splitlines()[-1]
+    assert result.exit_code == 2 and message.startswith("Error: unknown operation 'x")
+    assert len(message) < 200, message[:300]
+
+
 # -- verify --------------------------------------------------------------------
 
 

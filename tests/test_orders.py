@@ -1,3 +1,7 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,12 +67,55 @@ def test_golden_cover_sets_on_s3():
     assert {(word(a), word(b)) for a, b in bruhat_poset(3).cover_labels()} == BRUHAT_S3
 
 
-def test_weak_and_bruhat_refuse_n_above_seven():
-    v, w = identity(8), long_element(8)
-    for call in (lambda: weak_leq(v, w), lambda: bruhat_leq(v, w),
-                 lambda: weak_poset(8), lambda: bruhat_poset(8)):
-        with pytest.raises(ValueError):
-            call()
+def test_weak_and_bruhat_refuse_sizes_past_their_bounds():
+    v, w = identity(2049), long_element(2049)
+    for leq in (weak_leq, bruhat_leq):
+        with pytest.raises(ValueError, match=r"in \[1, 2048\] \(two vectors of n\(n - 1\)/2"):
+            leq(v, w)
+    for build in (weak_poset, bruhat_poset):
+        with pytest.raises(ValueError, match=r"in \[1, 7\]"):
+            build(8)
+
+
+def inversion_set(w):
+    """The pairs of values (a, b), a < b, with b before a in w."""
+    return {(w[q], w[p]) for p, q in itertools.combinations(range(len(w)), 2) if w[p] > w[q]}
+
+
+def tableau_leq(v, w):
+    """Each sorted prefix of v is entrywise at most the same prefix of w."""
+    return all(a <= b for i in range(1, len(v) + 1)
+               for a, b in zip(sorted(v[:i]), sorted(w[:i])))
+
+
+def test_comparisons_match_their_definitions():
+    # v random; w is v after a few rise swaps, each in adjacent positions
+    # (staying above v in both orders) or anywhere (above v in Bruhat), or
+    # a random word.  Both directions of each pair are compared.
+    rng = random.Random(29)
+    n = 50
+    seen = Counter()
+    for _ in range(300):
+        v = rng.sample(range(1, n + 1), n)
+        w = list(v)
+        kind = rng.choice(("adjacent", "anywhere", "random"))
+        if kind == "random":
+            rng.shuffle(w)
+        for _ in range(rng.randint(0, 20) if kind != "random" else 0):
+            a = rng.randrange(n - 1)
+            b = a + 1 if kind == "adjacent" else rng.randrange(a + 1, n)
+            if w[a] < w[b]:
+                w[a], w[b] = w[b], w[a]
+        for x, y in ((v, w), (w, v)):
+            weak = inversion_set(x) <= inversion_set(y)
+            bruhat = tableau_leq(x, y)
+            assert weak_leq(x, y) == weak and bruhat_leq(x, y) == bruhat, (x, y)
+            seen[weak, bruhat] += 1
+    assert min(seen.values()) >= 30 and set(seen) == {(0, 0), (0, 1), (1, 1)}, seen
+    # At the bound: every word lies between the identity and the reverse word.
+    e, top = identity(2048), long_element(2048)
+    v = tuple(rng.sample(e, 2048))
+    assert weak_leq(v, top) and weak_leq(e, v) and bruhat_leq(v, top) and bruhat_leq(e, v)
 
 
 def test_specific_comparabilities():

@@ -136,7 +136,8 @@ def test_pentagon_witness(n):
     sub = FinitePoset.from_leq([bottom, side, low, high, top], pf_leq)
     n5 = pentagon()  # 0 < a < b < 1 and 0 < c < 1
     name = dict(zip((bottom, low, high, side, top), n5.labels))
-    assert all(sub.leq_labels(s, t) == n5.leq_labels(name[s], name[t])
+    assert all(sub.leq(sub.index_of(s), sub.index_of(t))
+               == n5.leq(n5.index_of(name[s]), n5.index_of(name[t]))
                for s in sub.labels for t in sub.labels)
     with pytest.raises(ValueError):
         pentagon_witness(2)

@@ -3,6 +3,7 @@ import itertools
 import pathlib
 import random
 import re
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -23,7 +24,7 @@ from middleorder.posets import (
     diamond,
     pentagon,
 )
-from middleorder.verify import is_distributive_by_triples
+from middleorder.verify import is_distributive_by_triples, is_partial_order_by_definition
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "middleorder"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -42,7 +43,8 @@ def grid(sizes):
 def product_of(p, q):
     """The pairs (a, b) of labels of p and q, ordered coordinatewise."""
     return FinitePoset.from_leq(list(itertools.product(p.labels, q.labels)),
-                                lambda s, t: p.leq_labels(s[0], t[0]) and q.leq_labels(s[1], t[1]))
+                                lambda s, t: p.leq(p.index_of(s[0]), p.index_of(t[0]))
+                                and q.leq(q.index_of(s[1]), q.index_of(t[1])))
 
 
 def strict_pairs(p):
@@ -82,6 +84,42 @@ def test_from_leq_rejects_non_orders():
         FinitePoset.from_leq([0, 1], lambda a, b: a == b + 1 or a == b - 1 or a == b)
 
 
+def test_constructor_refuses_masks_that_are_not_a_partial_order():
+    for above in ([0b011, 0b110, 0b100], [0b11, 0b11]):  # not transitive; not antisymmetric
+        with pytest.raises(PosetError):
+            FinitePoset(list(range(len(above))), above)
+
+
+def test_constructor_accepts_exactly_the_partial_orders():
+    # Random reflexive relations, and random partial orders under shuffled
+    # indices with one bit flipped or not, against the axioms pair by pair.
+    rng = random.Random(29)
+    verdicts = Counter()
+    for _ in range(5000):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            density = rng.random()
+            above = [1 << i | sum(1 << j for j in range(n) if rng.random() < density)
+                     for i in range(n)]
+        else:
+            mask = random_dag_poset(rng, n)._above
+            new = rng.sample(range(n), n)
+            above = [0] * n
+            for i, m in enumerate(mask):
+                above[new[i]] = sum(1 << new[j] for j in range(n) if m >> j & 1)
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j and rng.random() < 0.5:
+                above[i] ^= 1 << j
+        try:
+            FinitePoset(list(range(n)), above)
+            accepted = True
+        except PosetError:
+            accepted = False
+        assert accepted == is_partial_order_by_definition(above), above
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) > 1500, verdicts
+
+
 @pytest.mark.parametrize("call", [
     lambda: FinitePoset.from_edge_list(b"a < b"),
     lambda: FinitePoset.from_dot(None),
@@ -96,7 +134,7 @@ def test_from_leq_rejects_non_orders():
     lambda: chain(3).meet(True, 1),
     lambda: chain(3).join(0, 3),
     lambda: chain(3).index_of(7),
-    lambda: chain(3).leq_labels([1], 0),
+    lambda: chain(3).leq(chain(3).index_of([1]), 0),
     lambda: chain(2).index_of(10**5000),
 ], ids=["edge-list-of-bytes", "dot-of-none", "leq-not-callable", "unhashable-labels",
         "relabeled-unhashable", "relabeled-not-iterable", "init-labels-not-iterable",
@@ -160,7 +198,7 @@ def test_relabeled_shares_the_order():
     q = p.relabeled(["".join(map(str, lab)) or "e" for lab in p.labels])
     assert q.labels[-1] == "012" and q.index_of("e") == 0
     assert q._above is p._above and q.covers is p.covers
-    assert q.leq_labels("e", "012") and p.labels[0] == ()
+    assert q.leq(q.index_of("e"), q.index_of("012")) and p.labels[0] == ()
     with pytest.raises(PosetError):
         p.relabeled(range(p.n - 1))
     with pytest.raises(PosetError):
@@ -186,7 +224,6 @@ UNCALLED_ON_PURPOSE = {
         "boolean_lattice": "stock poset, a fixture of the oracle's own tests",
         "pentagon": "stock poset, a fixture of the oracle's own tests",
         "diamond": "stock poset, a fixture of the oracle's own tests",
-        "leq": "the order relation itself, for callers outside the package",
         "to_edge_list": "serializer: labels round-trip through text",
         "from_edge_list": "serializer: labels round-trip through text",
     },
@@ -237,8 +274,9 @@ def test_reduction_drops_implied_edges():
 
 def test_leq_and_extremes():
     p = divisor_poset([1, 2, 3, 4, 6, 12])
-    assert p.leq_labels(2, 12) and not p.leq_labels(4, 6)
-    assert all(p.leq_labels(1, b) and p.leq_labels(b, 12) for b in p.labels)
+    index = p.index_of
+    assert p.leq(index(2), index(12)) and not p.leq(index(4), index(6))
+    assert all(p.leq(index(1), index(b)) and p.leq(index(b), index(12)) for b in p.labels)
     assert p.cover_labels() == {(1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12)}
 
 
